@@ -9,9 +9,10 @@
 #   ./ci.sh --quick        build + test only (the tier-1 inner loop)
 #   ./ci.sh --stage NAME   build, then only the named stage — the
 #                          local loop for debugging one smoke gate.
-#                          Names: test, fmt, clippy, doc, dynamics,
-#                          degradation, perf, scale, scale-sharded,
-#                          matching, net-cluster, broker-bench
+#                          Names: test, perfbench, fmt, clippy, doc,
+#                          dynamics, degradation, perf, scale,
+#                          scale-sharded, matching, net-cluster,
+#                          broker-bench
 #
 # Smoke artifacts go to BSUB_SMOKE_DIR when set (hosted CI sets it to
 # upload them), otherwise to a scratch directory removed on exit.
@@ -21,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES="test fmt clippy doc dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
+STAGES="test perfbench fmt clippy doc dynamics degradation perf scale scale-sharded matching net-cluster broker-bench"
 QUICK=0
 STAGE_FILTER=""
 while [ $# -gt 0 ]; do
@@ -138,6 +139,14 @@ if want test; then
         exit 0
     fi
     rm -f "$TEST_LOG"
+fi
+
+if want perfbench; then
+    stage "perfbench (the benchmark's own tests)"
+    # The repository benchmark (BENCHMARK.json) is a package of its own,
+    # outside the workspace, so `cargo test --workspace` never runs its
+    # seed, oracle, and metric-table tests.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if want fmt; then

@@ -1,5 +1,6 @@
 //! The 10M-node scale harness: streams a synthetic contact schedule
-//! through the packed TCBF kernels on a sharded, deterministic
+//! through the protocol's TCBF type, on its 4-bit lanes
+//! (`LaneTcbf<Lane4>`), on a sharded, deterministic
 //! parallel engine and reports sustained event throughput, resident
 //! filter memory, and peak process RSS.
 //!
@@ -7,7 +8,7 @@
 //! the full protocol, this harness isolates the *filter plane*: every
 //! contact event folds the consumer's interest profile into the
 //! meeting broker's relay with one sparse A-merge
-//! ([`bsub_bloom::PackedTcbf::a_merge_sparse`]), relays decay lazily
+//! ([`bsub_bloom::LaneTcbf::a_merge_sparse`]), relays decay lazily
 //! once per epoch (O(1) per filter via the epoch offset), and a
 //! sampled subset of events runs existential plus preferential queries
 //! against the merged state. The contact schedule is a
@@ -75,7 +76,7 @@
 use bsub_bench::output::{render_table, results_dir, write_csv};
 use bsub_bench::perf::{self, PerfEntry, Tolerance};
 use bsub_bloom::rng::SplitMix64;
-use bsub_bloom::PackedTcbf;
+use bsub_bloom::{Lane4, LaneTcbf, SparseTcbf};
 use bsub_obs::{self as obs, Counter, MetricsReport, ProfReport, TimeHist};
 use bsub_traces::synthetic::ContactStream;
 use bsub_traces::SimDuration;
@@ -90,7 +91,7 @@ const FILTER_BITS: usize = 8192;
 const HASHES: usize = 4;
 /// Initial counter value `C` — well under the nibble cap so a few
 /// A-merges accumulate before saturating at 15.
-const INITIAL: u8 = 8;
+const INITIAL: u32 = 8;
 /// Brokers per deployment; nodes map to brokers by id residue.
 const BROKERS: usize = 256;
 /// Distinct interest profiles in the arena; nodes map by id residue.
@@ -191,21 +192,21 @@ fn tentpole_cell() -> Cell {
     }
 }
 
-/// Builds the interest-profile arena in the sparse `(word, packed)`
-/// form [`PackedTcbf::a_merge_sparse`] consumes: `PROFILES` filters,
+/// Builds the interest-profile arena in the sparse form
+/// [`LaneTcbf::a_merge_sparse`] consumes: `PROFILES` filters,
 /// each holding `interests` keys. At B-SUB's sizing most words are
 /// zero, so the sparse form carries ~8× fewer words per merge than
 /// the dense arena the harness previously streamed.
-fn build_arena(interests: usize) -> Vec<Vec<(u32, u64)>> {
+fn build_arena(interests: usize) -> Vec<SparseTcbf<Lane4>> {
     (0..PROFILES)
         .map(|p| {
-            let mut filter = PackedTcbf::new(FILTER_BITS, HASHES, INITIAL);
+            let mut filter = LaneTcbf::<Lane4>::new(FILTER_BITS, HASHES, INITIAL);
             for j in 0..interests {
                 filter
                     .insert(profile_key(p, j))
                     .expect("fresh filter accepts inserts");
             }
-            filter.sparse_words()
+            filter.to_sparse()
         })
         .collect()
 }
@@ -227,12 +228,12 @@ struct MergeJob {
 /// uncontended.
 struct Engine<'a> {
     stream: &'a ContactStream,
-    arena: &'a [Vec<(u32, u64)>],
+    arena: &'a [SparseTcbf<Lane4>],
     profile_keys: &'a [Vec<String>],
     interests: usize,
     total: u64,
     shards: usize,
-    groups: Vec<RwLock<Vec<PackedTcbf>>>,
+    groups: Vec<RwLock<Vec<LaneTcbf<Lane4>>>>,
     buckets: Vec<Vec<Mutex<Vec<MergeJob>>>>,
     barrier: Barrier,
 }
@@ -311,9 +312,11 @@ fn worker(engine: &Engine, w: usize, prof: bool) -> WorkerOutcome {
                 let jobs =
                     std::mem::take(&mut *engine.buckets[producer][w].lock().expect("bucket lock"));
                 for job in &jobs {
-                    let entries = &engine.arena[job.profile as usize];
-                    relays[job.slot as usize].a_merge_sparse(entries);
-                    out.merged_words += entries.len() as u64;
+                    let profile = &engine.arena[job.profile as usize];
+                    relays[job.slot as usize]
+                        .a_merge_sparse(profile)
+                        .expect("same geometry");
+                    out.merged_words += profile.word_count() as u64;
                 }
                 out.merges += jobs.len() as u64;
             }
@@ -392,8 +395,8 @@ fn run_cell(cell: &Cell, shards: usize, prof: bool) -> CellOutcome {
         .map(|p| (0..cell.interests).map(|j| profile_key(p, j)).collect())
         .collect();
 
-    let word_bytes = PackedTcbf::new(FILTER_BITS, HASHES, INITIAL).word_bytes();
-    let arena_entries: usize = arena.iter().map(Vec::len).sum();
+    let word_bytes = LaneTcbf::<Lane4>::new(FILTER_BITS, HASHES, INITIAL).counter_bytes();
+    let arena_entries: usize = arena.iter().map(SparseTcbf::word_count).sum();
     let resident_bytes =
         (BROKERS * word_bytes + arena_entries * std::mem::size_of::<(u32, u64)>()) as u64;
 
@@ -409,7 +412,7 @@ fn run_cell(cell: &Cell, shards: usize, prof: bool) -> CellOutcome {
                 RwLock::new(
                     (0..BROKERS)
                         .filter(|b| b % shards == w)
-                        .map(|_| PackedTcbf::new(FILTER_BITS, HASHES, INITIAL))
+                        .map(|_| LaneTcbf::<Lane4>::new(FILTER_BITS, HASHES, INITIAL))
                         .collect(),
                 )
             })

@@ -5,8 +5,6 @@
 //!
 //! - [`BloomFilter`] — the classic Bloom filter (Bloom, 1970) with
 //!   insertion, probabilistic membership queries, and union merging.
-//! - [`CountingBloomFilter`] — the counting Bloom filter (Fan et al.,
-//!   "Summary Cache", 2000) which supports deletion.
 //! - [`Tcbf`] — the Temporal Counting Bloom Filter of the B-SUB paper
 //!   (Zhao & Wu, ICDCS 2010): counters are set to an initial value on
 //!   insertion, combined with *A-merge* (additive) or *M-merge*
@@ -15,9 +13,15 @@
 //!   *preferential* queries (ranking two filters as carriers of a key).
 //!   Decay is recorded lazily as a per-filter epoch offset and
 //!   materialized on read/merge, so it costs O(1) per call.
-//! - [`PackedTcbf`] — the scale-tier TCBF: sixteen 4-bit counters per
-//!   `u64` word with SWAR merge kernels (see [`packed`]), for
-//!   million-node deployments where `C ≤ 15` bounds every counter.
+//! - [`LaneTcbf`] — that one TCBF algebra, written once over its
+//!   counter width. It has two instances. [`Tcbf`] is
+//!   `LaneTcbf<Lane32>`, with `u32` counters: the protocol runs it,
+//!   because the paper's experiments need the range (Fig. 7 relay
+//!   counters reach 233 801, and the Fig. 6 A-merge ablation saturates
+//!   `u32`). `LaneTcbf<Lane4>` packs sixteen 4-bit counters per `u64`
+//!   and merges them with the SWAR kernels of [`packed`]. The
+//!   million-node scale harness runs it, since there `C ≤ 15` bounds
+//!   every counter and a filter is 8x smaller.
 //! - [`math`] — closed-form analysis from Sections III and VI of the
 //!   paper: false-positive rate, fill ratio, the expected minimum of
 //!   binomially distributed counter increments (Eq. 4), the decaying
@@ -54,7 +58,6 @@
 pub mod allocation;
 mod bitvec;
 mod bloom;
-mod counting;
 mod error;
 pub mod hash;
 pub mod math;
@@ -66,9 +69,8 @@ pub mod wire;
 pub use crate::allocation::{AllocationPlan, TcbfPool};
 pub use crate::bitvec::BitVec;
 pub use crate::bloom::BloomFilter;
-pub use crate::counting::CountingBloomFilter;
 pub use crate::error::Error;
 pub use crate::hash::KeyHasher;
-pub use crate::packed::PackedTcbf;
+pub use crate::packed::Lane4;
 pub use crate::rng::SplitMix64;
-pub use crate::tcbf::{Decayer, Preference, SparseTcbf, Tcbf};
+pub use crate::tcbf::{Decayer, Lane32, LaneTcbf, Preference, SparseTcbf, Tcbf};

@@ -1,4 +1,24 @@
-//! The Temporal Counting Bloom Filter (Section IV of the paper).
+//! The Temporal Counting Bloom Filter (Section IV of the paper),
+//! written once over two counter widths.
+//!
+//! [`LaneTcbf`] implements the whole TCBF algebra — insertion, A- and
+//! M-merge, lazy decay, the existential and preferential queries —
+//! against a small counter-storage interface: per-counter get/set,
+//! word-wise saturating add, maximum and saturating subtract, the lane
+//! maximum, and a count of non-zero lanes. Two storages implement it,
+//! because only two widths have callers:
+//!
+//! - [`Lane32`]: one `u32` counter per word. [`Tcbf`] is this
+//!   instance, and it is the filter the protocol runs. The paper's
+//!   experiments reinforce relay counters far past any narrow range:
+//!   in Fig. 7 they reach 233 801, and the Fig. 6 A-merge ablation
+//!   saturates `u32` on purpose. So the figures need the full width.
+//! - [`Lane4`](crate::packed::Lane4): sixteen 4-bit counters per
+//!   `u64`, merged by the SWAR kernels of [`crate::packed`]. The
+//!   `scale` harness runs this instance. There `C ≤ 15` bounds every
+//!   counter, and a filter is 8x smaller.
+
+use std::fmt;
 
 use crate::bitvec::BitVec;
 use crate::bloom::BloomFilter;
@@ -6,54 +26,132 @@ use crate::error::Error;
 use crate::hash::KeyHasher;
 use bsub_obs::{self as obs, Counter, TimeHist};
 
+/// Counter storage for [`LaneTcbf`]: how counters pack into words, and
+/// the word-wise kernels the TCBF algebra is written against.
+///
+/// Public only so that it can bound the public filter type. It is not
+/// reachable from outside this crate, so [`Lane32`] and
+/// [`Lane4`](crate::packed::Lane4) are its only implementors. The
+/// implementors are unit markers, so the filter types derive `Clone`
+/// and `Debug` at every width.
+pub trait Lanes: Copy + fmt::Debug {
+    /// The storage word.
+    type Word: Copy + Eq + Default + fmt::Debug + Send + Sync;
+    /// The lane maximum: counters saturate here.
+    const MAX: u32;
+    /// Counters per word.
+    const PER_WORD: usize;
+    /// Counter `i` of a word slice.
+    fn get(words: &[Self::Word], i: usize) -> u32;
+    /// Sets counter `i` of a word slice to `v` (`v ≤ MAX`).
+    fn set(words: &mut [Self::Word], i: usize, v: u32);
+    /// Lane-wise saturating add.
+    fn sat_add(a: Self::Word, b: Self::Word) -> Self::Word;
+    /// Lane-wise maximum.
+    fn max(a: Self::Word, b: Self::Word) -> Self::Word;
+    /// Saturating subtract of `d` (`d ≤ MAX`) from every lane.
+    fn sat_sub(a: Self::Word, d: u32) -> Self::Word;
+    /// Number of non-zero lanes.
+    fn nonzero(a: Self::Word) -> u32;
+}
+
+/// 32-bit counter lanes, one counter per `u32` word: the storage of
+/// [`Tcbf`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lane32;
+
+impl Lanes for Lane32 {
+    type Word = u32;
+    const MAX: u32 = u32::MAX;
+    const PER_WORD: usize = 1;
+
+    #[inline]
+    fn get(words: &[u32], i: usize) -> u32 {
+        words[i]
+    }
+
+    #[inline]
+    fn set(words: &mut [u32], i: usize, v: u32) {
+        words[i] = v;
+    }
+
+    #[inline]
+    fn sat_add(a: u32, b: u32) -> u32 {
+        a.saturating_add(b)
+    }
+
+    #[inline]
+    fn max(a: u32, b: u32) -> u32 {
+        a.max(b)
+    }
+
+    #[inline]
+    fn sat_sub(a: u32, d: u32) -> u32 {
+        a.saturating_sub(d)
+    }
+
+    #[inline]
+    fn nonzero(a: u32) -> u32 {
+        u32::from(a != 0)
+    }
+}
+
+/// The protocol's TCBF: [`LaneTcbf`] with 32-bit counters.
+pub type Tcbf = LaneTcbf<Lane32>;
+
 /// The Temporal Counting Bloom Filter (TCBF), the B-SUB paper's core
-/// data structure.
+/// data structure, over counter lanes `L` ([`Lane32`] for [`Tcbf`],
+/// [`Lane4`](crate::packed::Lane4) for the scale tier).
 ///
 /// Like a counting Bloom filter, a TCBF associates a counter with each
 /// bit — but the counters do **not** count key multiplicity. Instead
 /// (Section IV-A):
 ///
 /// - **Insertion** sets the counters of the key's hashed bits to a
-///   fixed initial value `C` ([`Tcbf::initial_counter`]). Counters that
-///   are already set are left unchanged, so a freshly built filter
-///   always has uniform counters.
-/// - **A-merge** (additive merge, [`Tcbf::a_merge`]) ORs the bit
+///   fixed initial value `C` ([`LaneTcbf::initial_counter`]). Counters
+///   that are already set are left unchanged, so a freshly built
+///   filter always has uniform counters.
+/// - **A-merge** (additive merge, [`LaneTcbf::a_merge`]) ORs the bit
 ///   vectors and *adds* the counters. B-SUB uses it when a consumer
 ///   reports its interests to a broker: repeated meetings *reinforce*
 ///   the interests' counters.
-/// - **M-merge** (maximum merge, [`Tcbf::m_merge`]) ORs the bit vectors
-///   and takes the counter-wise *maximum*. B-SUB uses it between
-///   brokers, which prevents the "bogus counter" feedback loop of
-///   Fig. 6 (two brokers meeting frequently would otherwise inflate
+/// - **M-merge** (maximum merge, [`LaneTcbf::m_merge`]) ORs the bit
+///   vectors and takes the counter-wise *maximum*. B-SUB uses it
+///   between brokers, which prevents the "bogus counter" feedback loop
+///   of Fig. 6 (two brokers meeting frequently would otherwise inflate
 ///   each other's counters without any consumer nearby).
-/// - **Decaying** ([`Tcbf::decay`]) subtracts from every counter; a bit
-///   whose counter reaches zero is reset. This is the *temporal
+/// - **Decaying** ([`LaneTcbf::decay`]) subtracts from every counter; a
+///   bit whose counter reaches zero is reset. This is the *temporal
 ///   deletion* that expires interests of consumers a broker no longer
 ///   meets. The subtraction rate is the paper's *decaying factor* (DF);
 ///   see [`Decayer`] for fractional-rate bookkeeping.
-/// - An **existential query** ([`Tcbf::contains`]) is classic Bloom
-///   membership; a **preferential query** ([`Tcbf::preference`])
+/// - An **existential query** ([`LaneTcbf::contains`]) is classic Bloom
+///   membership; a **preferential query** ([`LaneTcbf::preference`])
 ///   compares the min-counters of a key in two filters to decide which
 ///   filter's owner is the better carrier for that key.
 ///
+/// Counters saturate at the lane maximum (`u32::MAX` or 15).
 /// Insertion is only defined for filters that have never been merged
 /// (the paper's rule); to add keys to a merged filter, insert them into
 /// a fresh TCBF and merge the two.
 ///
 /// # Lazy epoch decay
 ///
-/// [`Tcbf::decay`] does **not** walk the counter array. It adds the
+/// [`LaneTcbf::decay`] does **not** walk the counter array. It adds the
 /// amount to a per-filter *epoch* offset, and every observable value is
 /// materialized on read as `stored.saturating_sub(epoch)`. Because
 /// saturating subtractions of accumulated amounts compose exactly
 /// (`(c ∸ d₁) ∸ d₂ = c ∸ (d₁ + d₂)`), the materialized counters are
 /// bit-identical to what an eager per-counter walk would produce — the
-/// equivalence the property tests in `tests/properties.rs` pin down.
+/// equivalence the property tests in `tests/properties.rs` and
+/// `tests/packed.rs` pin down. An epoch that reaches the lane maximum
+/// wipes every counter, so decay then clears the array instead.
 /// A-merges fold both filters' pending epochs into the stored counters
-/// in the same single pass that combines them; M-merges only *equalize*
-/// the two epochs (max commutes with a shared saturating offset, so the
-/// common `min(e_self, e_other)` part stays lazy). Either way a broker
-/// that meets rarely pays O(1) per decay instead of O(m) per contact.
+/// in the same single pass that combines them; M-merges only
+/// *equalize* the two epochs (max commutes with a shared saturating
+/// offset, so the common `min(e_self, e_other)` part stays lazy).
+/// Either way a broker that meets rarely pays O(1) per decay instead
+/// of O(m) per contact.
 ///
 /// # Examples
 ///
@@ -80,14 +178,32 @@ use bsub_obs::{self as obs, Counter, TimeHist};
 /// assert!(!relay.contains("NewMoon"));
 /// # Ok::<(), bsub_bloom::Error>(())
 /// ```
+///
+/// The same algebra on 4-bit lanes saturates at 15:
+///
+/// ```
+/// use bsub_bloom::{Lane4, LaneTcbf};
+///
+/// let consumer = LaneTcbf::<Lane4>::from_keys(256, 4, 5, ["NewMoon"]);
+/// let mut relay = LaneTcbf::<Lane4>::new(256, 4, 5);
+/// for _ in 0..4 {
+///     relay.a_merge(&consumer)?;
+/// }
+/// assert_eq!(relay.min_counter("NewMoon"), 15);
+/// relay.decay(15); // O(1): an epoch this large clears the filter
+/// assert!(relay.is_empty());
+/// # Ok::<(), bsub_bloom::Error>(())
+/// ```
 #[derive(Debug, Clone)]
-pub struct Tcbf {
-    /// Stored counters, *before* the pending epoch is subtracted.
-    counters: Vec<u32>,
+pub struct LaneTcbf<L: Lanes> {
+    /// Stored counters, `L::PER_WORD` to a word, *before* the pending
+    /// epoch is subtracted.
+    words: Vec<L::Word>,
+    bits: usize,
     /// Pending lazy decay: every observable counter value is
-    /// `stored.saturating_sub(epoch)`. Saturating here is exact —
-    /// stored values never exceed `u32::MAX`, so an epoch saturated at
-    /// `u32::MAX` already wipes every counter.
+    /// `stored.saturating_sub(epoch)`. Kept below `L::MAX`: an epoch
+    /// that reaches it wipes every counter, so [`LaneTcbf::decay`]
+    /// clears the words instead.
     epoch: u32,
     hashes: usize,
     initial: u32,
@@ -97,27 +213,32 @@ pub struct Tcbf {
 
 /// Equality is on *materialized* counters: a filter decayed lazily and
 /// one decayed eagerly by the same amounts are the same filter.
-impl PartialEq for Tcbf {
+impl<L: Lanes> PartialEq for LaneTcbf<L> {
     fn eq(&self, other: &Self) -> bool {
-        self.hashes == other.hashes
+        self.bits == other.bits
+            && self.hashes == other.hashes
             && self.initial == other.initial
             && self.hasher == other.hasher
             && self.merged == other.merged
-            && self.counters.len() == other.counters.len()
-            && self.iter_counters().eq(other.iter_counters())
+            && self
+                .words
+                .iter()
+                .zip(&other.words)
+                .all(|(&a, &b)| L::sat_sub(a, self.epoch) == L::sat_sub(b, other.epoch))
     }
 }
 
-impl Eq for Tcbf {}
+impl<L: Lanes> Eq for LaneTcbf<L> {}
 
-impl Tcbf {
+impl<L: Lanes> LaneTcbf<L> {
     /// Creates an empty TCBF of `bits` counters, `hashes` hash
     /// functions, and insertion counter value `initial` (the paper's
     /// `C`).
     ///
     /// # Panics
     ///
-    /// Panics if `bits == 0`, `hashes == 0`, or `initial == 0`.
+    /// Panics if `bits == 0`, `hashes == 0`, `initial == 0`, or
+    /// `initial` exceeds the lane maximum.
     #[must_use]
     pub fn new(bits: usize, hashes: usize, initial: u32) -> Self {
         Self::with_hasher(bits, hashes, initial, KeyHasher::default())
@@ -127,14 +248,20 @@ impl Tcbf {
     ///
     /// # Panics
     ///
-    /// Panics if `bits == 0`, `hashes == 0`, or `initial == 0`.
+    /// Same conditions as [`LaneTcbf::new`].
     #[must_use]
     pub fn with_hasher(bits: usize, hashes: usize, initial: u32, hasher: KeyHasher) -> Self {
         assert!(bits > 0, "bit-vector length must be positive");
         assert!(hashes > 0, "hash count must be positive");
         assert!(initial > 0, "initial counter value must be positive");
+        assert!(
+            initial <= L::MAX,
+            "initial counter must fit a lane (1..={})",
+            L::MAX
+        );
         Self {
-            counters: vec![0; bits],
+            words: vec![L::Word::default(); bits.div_ceil(L::PER_WORD)],
+            bits,
             epoch: 0,
             hashes,
             initial,
@@ -144,6 +271,10 @@ impl Tcbf {
     }
 
     /// Builds a never-merged TCBF containing every key in `keys`.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`LaneTcbf::new`].
     #[must_use]
     pub fn from_keys<I, K>(bits: usize, hashes: usize, initial: u32, keys: I) -> Self
     where
@@ -177,12 +308,9 @@ impl Tcbf {
         // counters are stored exactly at `C`. Fresh filters (the only
         // insertion target in practice) have epoch 0 and skip this.
         self.flush_epoch();
-        for pos in self
-            .hasher
-            .positions(key.as_ref(), self.hashes, self.counters.len())
-        {
-            if self.counters[pos] == 0 {
-                self.counters[pos] = self.initial;
+        for pos in self.hasher.positions(key.as_ref(), self.hashes, self.bits) {
+            if L::get(&self.words, pos) == 0 {
+                L::set(&mut self.words, pos, self.initial);
             }
         }
         Ok(())
@@ -202,7 +330,7 @@ impl Tcbf {
         self.check_compatible(other)?;
         obs::count(Counter::TcbfAMerge, 1);
         let _span = obs::span(TimeHist::MergeNs);
-        self.merge_with(other, u32::saturating_add);
+        self.merge_with(other, L::sat_add);
         Ok(())
     }
 
@@ -225,24 +353,23 @@ impl Tcbf {
         // `m = min(e, f)`. So the merge only equalizes the two
         // epochs — at most ONE per-element subtraction, on the side
         // with the larger epoch — and the common part `m` stays lazy,
-        // to be folded (or decayed further) later. Exact for all
-        // values: only saturating subtractions are involved, and
-        // those compose.
+        // to be folded (or decayed further) later. Exact for every
+        // lane width: only saturating subtractions are involved, those
+        // compose, and a maximum never leaves the lane range.
         let (se, oe) = (self.epoch, other.epoch);
         let m = se.min(oe);
+        let pairs = self.words.iter_mut().zip(&other.words);
         if se == oe {
-            for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-                *a = (*a).max(*b);
+            for (a, &b) in pairs {
+                *a = L::max(*a, b);
             }
         } else if se == m {
-            let db = oe - m;
-            for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-                *a = (*a).max(b.saturating_sub(db));
+            for (a, &b) in pairs {
+                *a = L::max(*a, L::sat_sub(b, oe - m));
             }
         } else {
-            let da = se - m;
-            for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-                *a = a.saturating_sub(da).max(*b);
+            for (a, &b) in pairs {
+                *a = L::max(L::sat_sub(*a, se - m), b);
             }
         }
         self.epoch = m;
@@ -251,8 +378,8 @@ impl Tcbf {
     }
 
     /// Additive merge against a pre-extracted sparse view: identical
-    /// observable result to [`Tcbf::a_merge`] with the view's source
-    /// filter, in O(set bits) instead of O(m).
+    /// observable result to [`LaneTcbf::a_merge`] with the view's
+    /// source filter, in O(non-zero words) instead of O(m).
     ///
     /// This is the consumer → broker fast path: a genuine filter holds
     /// a handful of interests (tens of non-zero counters out of
@@ -265,49 +392,72 @@ impl Tcbf {
     ///
     /// Returns [`Error::ParamMismatch`] if the view's source filter
     /// had a different length, hash count, or hasher.
-    pub fn a_merge_sparse(&mut self, other: &SparseTcbf) -> Result<(), Error> {
-        if self.counters.len() != other.bits
-            || self.hashes != other.hashes
-            || self.hasher != other.hasher
-        {
+    pub fn a_merge_sparse(&mut self, other: &SparseTcbf<L>) -> Result<(), Error> {
+        if self.bits != other.bits || self.hashes != other.hashes || self.hasher != other.hasher {
             return Err(Error::ParamMismatch {
-                ours: (self.counters.len(), self.hashes),
+                ours: (self.bits, self.hashes),
                 theirs: (other.bits, other.hashes),
             });
         }
         obs::count(Counter::TcbfAMerge, 1);
         let _span = obs::span(TimeHist::MergeNs);
         // The sparse entries are already materialized. A pending epoch
-        // on the receiver does NOT force an O(m) flush: storing
-        // `max(a, e) + v` under unchanged epoch `e` materializes to
-        // `(max(a, e) + v) ∸ e = (a ∸ e) + v` — exactly the dense
-        // A-merge result — as long as the add itself cannot overflow.
-        // If an entry would (counter within `v` of `u32::MAX`, unseen
-        // in any committed workload), flush mid-way — entries already
-        // stored as `max(a, e) + v` materialize correctly through the
-        // flush — and finish with plain saturating adds, so saturation
-        // lands on materialized values.
+        // `e` on the receiver need not cost an O(m) flush: storing
+        // `max(c, e) + v` under the unchanged epoch materializes to
+        // `(c ∸ e) + v`, exactly the dense A-merge result, as long as
+        // the sum fits a lane. Whether it does is a matter of the lane
+        // maximum. A 32-bit lane only overflows within `v` of
+        // `u32::MAX` (unseen in any committed workload), so 32-bit
+        // lanes keep the epoch and check each entry. An entry that
+        // would overflow flushes mid-way (entries already stored as
+        // `max(c, e) + v` materialize correctly through the flush), and
+        // the rest finish with plain saturating adds. Narrow lanes
+        // saturate in ordinary use (`C ≤ 15`), where that check would
+        // fail often and run per lane instead of per word, so they fold
+        // the epoch first.
+        if L::MAX < u32::MAX {
+            self.flush_epoch();
+        }
         let e = self.epoch;
-        for (n, &(i, v)) in other.entries.iter().enumerate() {
-            let c = &mut self.counters[i as usize];
-            let s = u64::from((*c).max(e)) + u64::from(v);
-            if s > u64::from(u32::MAX) {
+        for (n, &(w, v)) in other.entries.iter().enumerate() {
+            let w = w as usize;
+            if e == 0 {
+                self.words[w] = L::sat_add(self.words[w], v);
+            } else if !self.add_over_epoch(w, v, e) {
                 self.flush_epoch();
-                for &(i, v) in &other.entries[n..] {
-                    let c = &mut self.counters[i as usize];
-                    *c = c.saturating_add(v);
+                for &(w, v) in &other.entries[n..] {
+                    let slot = &mut self.words[w as usize];
+                    *slot = L::sat_add(*slot, v);
                 }
-                self.merged = true;
-                return Ok(());
+                break;
             }
-            *c = s as u32;
         }
         self.merged = true;
         Ok(())
     }
 
+    /// The epoch-preserving sparse add: stores `max(c, e) + x` in every
+    /// lane of word `w`, for the matching lane `x` of `v`. Returns
+    /// `false`, and changes nothing, if some lane would overflow.
+    fn add_over_epoch(&mut self, w: usize, v: L::Word, e: u32) -> bool {
+        let src = std::slice::from_ref(&v);
+        let lanes = (0..L::PER_WORD).map(|j| (w * L::PER_WORD + j, L::get(src, j)));
+        let lifted = |c: u32, x: u32| u64::from(c.max(e)) + u64::from(x);
+        if lanes
+            .clone()
+            .any(|(i, x)| lifted(L::get(&self.words, i), x) > u64::from(L::MAX))
+        {
+            return false;
+        }
+        for (i, x) in lanes {
+            let s = lifted(L::get(&self.words, i), x) as u32;
+            L::set(&mut self.words, i, s);
+        }
+        true
+    }
+
     /// Adopts an already-computed A-merge result by copy — see
-    /// [`Tcbf::m_merge_adopt`]; addition is commutative too.
+    /// [`LaneTcbf::m_merge_adopt`]; addition is commutative too.
     ///
     /// # Errors
     ///
@@ -348,27 +498,31 @@ impl Tcbf {
     /// Becomes a copy of `merged` (counters, pending epoch, merged
     /// flag), reusing this filter's storage.
     fn adopt(&mut self, merged: &Self) {
-        self.counters.copy_from_slice(&merged.counters);
+        self.words.copy_from_slice(&merged.words);
         self.epoch = merged.epoch;
         self.merged = true;
     }
 
     /// Extracts a reusable sparse view: the materialized non-zero
-    /// counters as `(bit index, value)` pairs, plus the merge-compat
+    /// storage words with their indices, plus the merge-compat
     /// parameters. The view is a snapshot — it does not track later
     /// mutations of this filter — so it suits filters that are
     /// immutable after construction, like a consumer's genuine filter.
     #[must_use]
-    pub fn to_sparse(&self) -> SparseTcbf {
+    pub fn to_sparse(&self) -> SparseTcbf<L> {
+        let e = self.epoch;
         SparseTcbf {
-            bits: self.counters.len(),
+            bits: self.bits,
             hashes: self.hashes,
             hasher: self.hasher,
             entries: self
-                .iter_counters()
+                .words
+                .iter()
                 .enumerate()
-                .filter(|&(_, c)| c > 0)
-                .map(|(i, c)| (i as u32, c))
+                .filter_map(|(i, &w)| {
+                    let m = L::sat_sub(w, e);
+                    (m != L::Word::default()).then_some((i as u32, m))
+                })
                 .collect(),
         }
     }
@@ -378,27 +532,28 @@ impl Tcbf {
     /// a pending decay epoch, the fold happens *inside* the same pass
     /// (`(a ∸ e_a) op (b ∸ e_b)`) — the lazy decays cost one extra
     /// vector subtract here instead of their own O(m) walks.
-    fn merge_with<F: Fn(u32, u32) -> u32>(&mut self, other: &Self, op: F) {
+    fn merge_with<F: Fn(L::Word, L::Word) -> L::Word>(&mut self, other: &Self, op: F) {
         let (se, oe) = (self.epoch, other.epoch);
+        let pairs = self.words.iter_mut().zip(&other.words);
         match (se, oe) {
             (0, 0) => {
-                for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-                    *a = op(*a, *b);
+                for (a, &b) in pairs {
+                    *a = op(*a, b);
                 }
             }
             (0, _) => {
-                for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-                    *a = op(*a, b.saturating_sub(oe));
+                for (a, &b) in pairs {
+                    *a = op(*a, L::sat_sub(b, oe));
                 }
             }
             (_, 0) => {
-                for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-                    *a = op(a.saturating_sub(se), *b);
+                for (a, &b) in pairs {
+                    *a = op(L::sat_sub(*a, se), b);
                 }
             }
             _ => {
-                for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-                    *a = op(a.saturating_sub(se), b.saturating_sub(oe));
+                for (a, &b) in pairs {
+                    *a = op(L::sat_sub(*a, se), L::sat_sub(b, oe));
                 }
             }
         }
@@ -423,19 +578,28 @@ impl Tcbf {
         }
         obs::count(Counter::TcbfDecay, 1);
         let _span = obs::span(TimeHist::DecayNs);
-        self.epoch = self.epoch.saturating_add(amount);
+        let epoch = self.epoch.saturating_add(amount);
+        if epoch >= L::MAX {
+            // No counter exceeds the lane maximum, so this epoch wipes
+            // them all: clear outright and keep the epoch in range.
+            self.words.fill(L::Word::default());
+            self.epoch = 0;
+        } else {
+            self.epoch = epoch;
+        }
     }
 
     /// Folds the pending epoch into the stored counters (making the
     /// lazy representation eager again). O(m), called only where a
-    /// stored-value invariant matters (insertion).
+    /// stored-value invariant matters (insertion, narrow-lane sparse
+    /// merges, saturating refreshes).
     fn flush_epoch(&mut self) {
         if self.epoch == 0 {
             return;
         }
         let e = self.epoch;
-        for c in &mut self.counters {
-            *c = c.saturating_sub(e);
+        for w in &mut self.words {
+            *w = L::sat_sub(*w, e);
         }
         self.epoch = 0;
     }
@@ -450,18 +614,19 @@ impl Tcbf {
     ///
     /// # Panics
     ///
-    /// Panics if `idx >= self.bit_len()`.
+    /// Panics if `idx` is past the counter array.
     #[must_use]
     pub fn counter_at(&self, idx: usize) -> u32 {
-        self.counters[idx].saturating_sub(self.epoch)
+        L::get(&self.words, idx).saturating_sub(self.epoch)
     }
 
-    /// Raises the counters at `positions` to at least `value`: each
-    /// becomes `max(current, value)` on materialized values.
+    /// Raises the counters at `positions` to at least `value` (capped
+    /// at the lane maximum): each becomes `max(current, value)` on
+    /// materialized values.
     ///
     /// Observationally identical to M-merging a fresh filter whose
     /// only key hashes to exactly `positions` with initial counter
-    /// `value`, in O(k) instead of O(m). Unlike [`Tcbf::insert`],
+    /// `value`, in O(k) instead of O(m). Unlike [`LaneTcbf::insert`],
     /// which keeps already-set counters (the paper's insertion rule),
     /// this *refreshes* decayed counters — the aggregation write path
     /// of `bsub-match`, where a tier filter must guarantee
@@ -471,22 +636,23 @@ impl Tcbf {
     ///
     /// # Panics
     ///
-    /// Panics if any position is `>= self.bit_len()`.
+    /// Panics if any position is past the counter array.
     pub fn refresh_positions<I: IntoIterator<Item = usize>>(&mut self, positions: I, value: u32) {
         if value == 0 {
             return;
         }
         // Store `max(materialized, value)` under the unchanged epoch:
-        // `max(c ∸ e, v) = max(c, v + e) ∸ e` as long as `v + e` does
-        // not overflow; flush first in the (unreachable in practice)
-        // saturating case so the max lands on materialized values.
-        if self.epoch > u32::MAX - value {
+        // `max(c ∸ e, v) = max(c, v + e) ∸ e` as long as `v + e` fits
+        // a lane; flush first otherwise so the max lands on
+        // materialized values.
+        let value = value.min(L::MAX);
+        if self.epoch > L::MAX - value {
             self.flush_epoch();
         }
         let target = value + self.epoch;
         for pos in positions {
-            if self.counters[pos] < target {
-                self.counters[pos] = target;
+            if L::get(&self.words, pos) < target {
+                L::set(&mut self.words, pos, target);
             }
         }
         self.merged = true;
@@ -494,10 +660,9 @@ impl Tcbf {
 
     /// Materialized (epoch-adjusted) counter values, in bit order — the
     /// observable state of the filter. Allocation-free iterator; use
-    /// [`Tcbf::counter_values`] for a `Vec`.
+    /// [`LaneTcbf::counter_values`] for a `Vec`.
     pub fn iter_counters(&self) -> impl Iterator<Item = u32> + '_ {
-        let e = self.epoch;
-        self.counters.iter().map(move |c| c.saturating_sub(e))
+        (0..self.bits).map(move |i| self.counter_at(i))
     }
 
     /// Existential query: `true` iff all hashed bits of the key have
@@ -518,8 +683,8 @@ impl Tcbf {
     pub fn min_counter<K: AsRef<[u8]>>(&self, key: K) -> u32 {
         obs::count(Counter::TcbfQuery, 1);
         self.hasher
-            .positions(key.as_ref(), self.hashes, self.counters.len())
-            .map(|pos| self.counters[pos].saturating_sub(self.epoch))
+            .positions(key.as_ref(), self.hashes, self.bits)
+            .map(|pos| self.counter_at(pos))
             .min()
             .unwrap_or(0)
     }
@@ -557,9 +722,9 @@ impl Tcbf {
     /// requesting messages, to save bandwidth.
     #[must_use]
     pub fn to_bloom(&self) -> BloomFilter {
-        let mut bits = BitVec::new(self.counters.len());
-        for (i, &c) in self.counters.iter().enumerate() {
-            if c > self.epoch {
+        let mut bits = BitVec::new(self.bits);
+        for (i, c) in self.iter_counters().enumerate() {
+            if c > 0 {
                 bits.set(i);
             }
         }
@@ -569,7 +734,7 @@ impl Tcbf {
     /// Length of the counter vector (the paper's `m`).
     #[must_use]
     pub fn bit_len(&self) -> usize {
-        self.counters.len()
+        self.bits
     }
 
     /// Number of hash functions (the paper's `k`).
@@ -584,23 +749,29 @@ impl Tcbf {
         self.initial
     }
 
-    /// Number of non-zero counters (set bits).
+    /// Number of non-zero counters (set bits), counted word-wise.
     #[must_use]
     pub fn set_bits(&self) -> usize {
         let e = self.epoch;
-        self.counters.iter().filter(|&&c| c > e).count()
+        self.words
+            .iter()
+            .map(|&w| L::nonzero(L::sat_sub(w, e)) as usize)
+            .sum()
     }
 
     /// Fill ratio: non-zero counters over total (Eq. 3).
     #[must_use]
     pub fn fill_ratio(&self) -> f64 {
-        self.set_bits() as f64 / self.counters.len() as f64
+        self.set_bits() as f64 / self.bits as f64
     }
 
     /// Whether no counter is set.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.iter().all(|&c| c <= self.epoch)
+        let e = self.epoch;
+        self.words
+            .iter()
+            .all(|&w| L::sat_sub(w, e) == L::Word::default())
     }
 
     /// Whether this filter has ever been the receiver of a merge (and
@@ -612,7 +783,7 @@ impl Tcbf {
 
     /// Resets the filter to empty and never-merged.
     pub fn reset(&mut self) {
-        self.counters.fill(0);
+        self.words.fill(L::Word::default());
         self.epoch = 0;
         self.merged = false;
     }
@@ -631,10 +802,16 @@ impl Tcbf {
 
     /// Materialized counter values, indexed by bit position.
     ///
-    /// Allocates; prefer [`Tcbf::iter_counters`] in hot paths.
+    /// Allocates; prefer [`LaneTcbf::iter_counters`] in hot paths.
     #[must_use]
     pub fn counter_values(&self) -> Vec<u32> {
         self.iter_counters().collect()
+    }
+
+    /// Heap bytes held by the counter array.
+    #[must_use]
+    pub fn counter_bytes(&self) -> usize {
+        std::mem::size_of_val(self.words.as_slice())
     }
 
     /// Rebuilds a filter from raw materialized counters.
@@ -643,9 +820,10 @@ impl Tcbf {
     /// and the node-state snapshot codec in `bsub-core` use it to
     /// reconstruct a filter whose counters, insertion value `C`, and
     /// merged flag were recorded elsewhere. The counters are taken as
-    /// already materialized (epoch zero); behavior is identical to a
-    /// filter that reached the same counter values through
-    /// insert/merge/decay operations.
+    /// already materialized (epoch zero), and values above the lane
+    /// maximum saturate; behavior is identical to a filter that
+    /// reached the same counter values through insert/merge/decay
+    /// operations.
     #[must_use]
     pub fn from_parts(
         counters: Vec<u32>,
@@ -654,8 +832,13 @@ impl Tcbf {
         hasher: KeyHasher,
         merged: bool,
     ) -> Self {
+        let mut words = vec![L::Word::default(); counters.len().div_ceil(L::PER_WORD)];
+        for (i, &c) in counters.iter().enumerate() {
+            L::set(&mut words, i, c.min(L::MAX));
+        }
         Self {
-            counters,
+            words,
+            bits: counters.len(),
             epoch: 0,
             hashes,
             initial,
@@ -665,41 +848,49 @@ impl Tcbf {
     }
 
     fn check_compatible(&self, other: &Self) -> Result<(), Error> {
-        if self.counters.len() != other.counters.len()
-            || self.hashes != other.hashes
-            || self.hasher != other.hasher
-        {
+        if self.bits != other.bits || self.hashes != other.hashes || self.hasher != other.hasher {
             return Err(Error::ParamMismatch {
-                ours: (self.counters.len(), self.hashes),
-                theirs: (other.counters.len(), other.hashes),
+                ours: (self.bits, self.hashes),
+                theirs: (other.bits, other.hashes),
             });
         }
         Ok(())
     }
 }
 
-/// A pre-extracted sparse view of a [`Tcbf`]: its materialized
-/// non-zero counters and the parameters another filter must share to
-/// merge with it. Built with [`Tcbf::to_sparse`], consumed by
-/// [`Tcbf::a_merge_sparse`].
+/// A pre-extracted sparse view of a [`LaneTcbf`]: its materialized
+/// non-zero storage words with their indices, and the parameters
+/// another filter must share to merge with it. Built with
+/// [`LaneTcbf::to_sparse`], consumed by [`LaneTcbf::a_merge_sparse`].
 ///
 /// The point is asymptotic: a consumer's genuine filter sets
 /// `interests × k` counters out of `m`, so reinforcing a broker's
 /// relay through the sparse view costs O(set bits) per meeting rather
-/// than a full O(m) counter pass.
+/// than a full O(m) counter pass. With 32-bit lanes an entry is one
+/// counter; with 4-bit lanes it is a word of sixteen.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SparseTcbf {
+pub struct SparseTcbf<L: Lanes = Lane32> {
     bits: usize,
     hashes: usize,
     hasher: KeyHasher,
-    /// Materialized `(bit index, counter)` pairs, ascending by index.
-    entries: Vec<(u32, u32)>,
+    /// Materialized `(word index, word)` pairs, ascending by index.
+    entries: Vec<(u32, L::Word)>,
 }
 
-impl SparseTcbf {
+impl<L: Lanes> SparseTcbf<L> {
     /// Number of non-zero counters in the view.
     #[must_use]
     pub fn set_bits(&self) -> usize {
+        self.entries
+            .iter()
+            .map(|&(_, w)| L::nonzero(w) as usize)
+            .sum()
+    }
+
+    /// Number of stored words: the source filter's non-zero words (its
+    /// set bits, with 32-bit lanes).
+    #[must_use]
+    pub fn word_count(&self) -> usize {
         self.entries.len()
     }
 }
@@ -864,27 +1055,37 @@ impl Decayer {
 mod tests {
     use super::*;
 
+    use crate::packed::Lane4;
+
     fn tcbf() -> Tcbf {
         Tcbf::new(256, 4, 10)
     }
 
     #[test]
     fn insert_sets_counters_to_initial() {
-        let mut f = tcbf();
-        f.insert("k0").unwrap();
-        assert_eq!(f.min_counter("k0"), 10);
-        assert!(f.contains("k0"));
+        fn check<L: Lanes>() {
+            let mut f = LaneTcbf::<L>::new(256, 4, 10);
+            f.insert("k0").unwrap();
+            assert_eq!(f.min_counter("k0"), 10);
+            assert!(f.contains("k0"));
+        }
+        check::<Lane32>();
+        check::<Lane4>();
     }
 
     #[test]
     fn reinsert_does_not_change_set_counters() {
         // Section IV-A: "If the counter has already been set, we do not
         // change its value."
-        let mut f = tcbf();
-        f.insert("k0").unwrap();
-        f.insert("k0").unwrap();
-        assert_eq!(f.min_counter("k0"), 10);
-        assert_eq!(f.max_counter_value(), 10);
+        fn check<L: Lanes>() {
+            let mut f = LaneTcbf::<L>::new(256, 4, 10);
+            f.insert("k0").unwrap();
+            f.insert("k0").unwrap();
+            assert_eq!(f.min_counter("k0"), 10);
+            assert_eq!(f.max_counter_value(), 10);
+        }
+        check::<Lane32>();
+        check::<Lane4>();
     }
 
     #[test]
@@ -958,11 +1159,15 @@ mod tests {
 
     #[test]
     fn insert_after_merge_rejected() {
-        let mut f = tcbf();
-        let other = Tcbf::from_keys(256, 4, 10, ["x"]);
-        f.a_merge(&other).unwrap();
-        assert!(f.is_merged());
-        assert_eq!(f.insert("y"), Err(Error::InsertAfterMerge));
+        fn check<L: Lanes>() {
+            let mut f = LaneTcbf::<L>::new(256, 4, 10);
+            let other = LaneTcbf::<L>::from_keys(256, 4, 10, ["x"]);
+            f.a_merge(&other).unwrap();
+            assert!(f.is_merged());
+            assert_eq!(f.insert("y"), Err(Error::InsertAfterMerge));
+        }
+        check::<Lane32>();
+        check::<Lane4>();
     }
 
     #[test]
@@ -1132,11 +1337,15 @@ mod tests {
 
     #[test]
     fn merge_param_mismatch() {
-        let mut a = Tcbf::new(256, 4, 10);
-        let b = Tcbf::new(128, 4, 10);
-        assert!(matches!(a.a_merge(&b), Err(Error::ParamMismatch { .. })));
-        assert!(matches!(a.m_merge(&b), Err(Error::ParamMismatch { .. })));
-        assert!(a.preference(&b, "k").is_err());
+        fn check<L: Lanes>() {
+            let mut a = LaneTcbf::<L>::new(256, 4, 10);
+            let b = LaneTcbf::<L>::new(128, 4, 10);
+            assert!(matches!(a.a_merge(&b), Err(Error::ParamMismatch { .. })));
+            assert!(matches!(a.m_merge(&b), Err(Error::ParamMismatch { .. })));
+            assert!(a.preference(&b, "k").is_err());
+        }
+        check::<Lane32>();
+        check::<Lane4>();
     }
 
     #[test]
@@ -1224,10 +1433,10 @@ mod tests {
         lazy.decay(4);
         lazy.decay(3);
         eager.flush_epoch(); // no-op, epoch 0
-        for c in &mut eager.counters {
+        for c in &mut eager.words {
             *c = c.saturating_sub(4);
         }
-        for c in &mut eager.counters {
+        for c in &mut eager.words {
             *c = c.saturating_sub(3);
         }
         assert!(lazy.epoch > 0, "decay must not have walked the array");
@@ -1374,18 +1583,25 @@ mod tests {
     fn sparse_a_merge_matches_dense() {
         // The sparse fast path must be observably identical to the
         // dense A-merge, including with pending epochs on the
-        // receiver and a decayed source.
-        let genuine = Tcbf::from_keys(256, 4, 10, ["a", "b", "c"]);
-        let sparse = genuine.to_sparse();
-        assert_eq!(sparse.set_bits(), genuine.set_bits());
-        let mut relay = Tcbf::new(256, 4, 10);
-        relay.a_merge(&Tcbf::from_keys(256, 4, 10, ["a"])).unwrap();
-        relay.decay(3); // pending epoch on the receiver
-        let mut dense = relay.clone();
-        relay.a_merge_sparse(&sparse).unwrap();
-        dense.a_merge(&genuine).unwrap();
-        assert_eq!(relay, dense);
-        assert_eq!(relay.counter_values(), dense.counter_values());
+        // receiver and a decayed source. On 4-bit lanes the shared
+        // bits saturate (7 + 10 > 15).
+        fn check<L: Lanes>() {
+            let genuine = LaneTcbf::<L>::from_keys(256, 4, 10, ["a", "b", "c"]);
+            let sparse = genuine.to_sparse();
+            assert_eq!(sparse.set_bits(), genuine.set_bits());
+            let mut relay = LaneTcbf::<L>::new(256, 4, 10);
+            relay
+                .a_merge(&LaneTcbf::<L>::from_keys(256, 4, 10, ["a"]))
+                .unwrap();
+            relay.decay(3); // pending epoch on the receiver
+            let mut dense = relay.clone();
+            relay.a_merge_sparse(&sparse).unwrap();
+            dense.a_merge(&genuine).unwrap();
+            assert_eq!(relay, dense);
+            assert_eq!(relay.counter_values(), dense.counter_values());
+        }
+        check::<Lane32>();
+        check::<Lane4>();
     }
 
     #[test]
@@ -1479,5 +1695,72 @@ mod tests {
         assert_eq!(report.counter(Counter::TcbfQuery), 3);
         assert_eq!(report.counter(Counter::TcbfPreference), 1);
         assert_eq!(report.time_hist(TimeHist::MergeNs).count(), 2);
+    }
+
+    // ---- 4-bit lanes only ----
+
+    type Tcbf4 = LaneTcbf<Lane4>;
+
+    #[test]
+    fn lane4_merge_decay_query_cycle() {
+        let mut relay = Tcbf4::new(256, 4, 5);
+        let consumer = Tcbf4::from_keys(256, 4, 5, ["t"]);
+        relay.a_merge(&consumer).unwrap();
+        relay.a_merge(&consumer).unwrap();
+        relay.a_merge(&consumer).unwrap();
+        assert_eq!(relay.min_counter("t"), 15, "saturates at the lane max");
+        relay.decay(14);
+        assert!(relay.contains("t"));
+        relay.decay(1);
+        assert!(relay.is_empty());
+        assert_eq!(relay.epoch, 0, "full decay clears instead of epoching");
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=15")]
+    fn lane4_oversized_initial_rejected() {
+        let _ = Tcbf4::new(256, 4, 16);
+    }
+
+    #[test]
+    fn lane4_sparse_merge_folds_pending_epoch() {
+        let src = Tcbf4::from_keys(256, 4, 5, ["s"]);
+        let mut decayed = Tcbf4::from_keys(256, 4, 9, ["s"]);
+        decayed.decay(3); // pending epoch, not yet materialized
+        let mut dense = decayed.clone();
+        dense.a_merge(&src).unwrap();
+        decayed.a_merge_sparse(&src.to_sparse()).unwrap();
+        assert_eq!(decayed, dense);
+        assert_eq!(decayed.min_counter("s"), 11, "9 - 3 + 5");
+        assert_eq!(decayed.epoch, 0, "narrow lanes fold the epoch first");
+    }
+
+    #[test]
+    fn lane4_sparse_view_skips_zero_words() {
+        let f = Tcbf4::from_keys(8192, 4, 5, ["only-key"]);
+        let sparse = f.to_sparse();
+        assert!(sparse.word_count() <= 4, "one key sets at most k words");
+        assert_eq!(sparse.set_bits(), f.set_bits());
+        let mut rebuilt = Tcbf4::new(8192, 4, 5);
+        rebuilt.a_merge_sparse(&sparse).unwrap();
+        assert_eq!(rebuilt.min_counter("only-key"), 5);
+    }
+
+    #[test]
+    fn lane4_non_multiple_of_16_bits() {
+        let mut f = Tcbf4::new(300, 3, 7);
+        f.insert("odd").unwrap();
+        assert!(f.contains("odd"));
+        assert_eq!(f.counter_values().len(), 300);
+        assert_eq!(f.counter_bytes(), 19 * 8);
+    }
+
+    #[test]
+    fn lane4_from_parts_saturates_and_round_trips() {
+        let f = Tcbf4::from_keys(64, 2, 9, ["k"]);
+        let rebuilt = Tcbf4::from_parts(f.counter_values(), 2, 9, f.hasher(), false);
+        assert_eq!(rebuilt, f);
+        let big = Tcbf4::from_parts(vec![40; 64], 2, 9, KeyHasher::default(), true);
+        assert_eq!(big.max_counter_value(), 15);
     }
 }

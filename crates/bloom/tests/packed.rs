@@ -1,7 +1,8 @@
-//! Property tests for the word-packed TCBF: the SWAR kernels against
-//! the scalar reference kernels, the packed filter against the `u32`
-//! [`Tcbf`] in the no-saturation regime, saturation-at-15 edges, and
-//! lazy-vs-eager decay equivalence over interleaved schedules.
+//! Property tests for the TCBF's 4-bit lanes: the SWAR kernels against
+//! the scalar reference kernels, the 4-bit instance of [`LaneTcbf`]
+//! against the 32-bit [`Tcbf`] in the no-saturation regime,
+//! saturation-at-15 edges, and lazy-vs-eager decay equivalence over
+//! interleaved schedules.
 //!
 //! Seeded-case style, like `tests/properties.rs`: every case derives
 //! its randomness from `SplitMix64::mix(TAG, case)`, so failures
@@ -11,7 +12,10 @@ use bsub_bloom::packed::{
     reference, word_max, word_nonzero_nibbles, word_sat_add, word_sat_sub, NIBBLE_MAX,
 };
 use bsub_bloom::rng::SplitMix64;
-use bsub_bloom::{PackedTcbf, Tcbf};
+use bsub_bloom::{Lane4, LaneTcbf, Tcbf};
+
+/// The 4-bit instance under test.
+type Tcbf4 = LaneTcbf<Lane4>;
 
 const CASES: u64 = 128;
 const TAG: u64 = 0xb50b_4b17;
@@ -98,27 +102,22 @@ fn kernels_exhaustive_over_nibble_pairs() {
     }
 }
 
-// ---- Packed filter vs the u32 Tcbf, below the saturation point ----
+// ---- 4-bit vs 32-bit lanes, below the saturation point ----
 
 /// With few enough reinforcements that no counter reaches 15, the
-/// packed filter and the u32 TCBF must agree on every observable:
+/// 4-bit and the 32-bit instances must agree on every observable:
 /// counter values, queries, preferences, set bits.
 #[test]
 fn differential_packed_vs_tcbf_no_saturation() {
     for case in 0..CASES {
         let mut rng = rng_for(1000 + case);
         let keys = random_keys(&mut rng, 12);
-        let initial = (rng.below(3) + 1) as u8; // 1..=3
-        let packed_src = PackedTcbf::from_keys(256, 4, initial, keys.iter().map(String::as_bytes));
-        let tcbf_src = Tcbf::from_keys(
-            256,
-            4,
-            u32::from(initial),
-            keys.iter().map(String::as_bytes),
-        );
+        let initial = (rng.below(3) + 1) as u32; // 1..=3
+        let packed_src = Tcbf4::from_keys(256, 4, initial, keys.iter().map(String::as_bytes));
+        let tcbf_src = Tcbf::from_keys(256, 4, initial, keys.iter().map(String::as_bytes));
 
-        let mut packed = PackedTcbf::new(256, 4, initial);
-        let mut tcbf = Tcbf::new(256, 4, u32::from(initial));
+        let mut packed = Tcbf4::new(256, 4, initial);
+        let mut tcbf = Tcbf::new(256, 4, initial);
         // ≤ 4 A-merges of C ≤ 3 keeps every counter ≤ 12 < 15.
         let merges = rng.below(4) + 1;
         for _ in 0..merges {
@@ -129,21 +128,20 @@ fn differential_packed_vs_tcbf_no_saturation() {
         packed.decay(decay);
         tcbf.decay(decay);
 
-        let packed_vals: Vec<u32> = packed
-            .counter_values()
-            .iter()
-            .map(|&v| u32::from(v))
-            .collect();
-        assert_eq!(packed_vals, tcbf.counter_values(), "case {case}");
+        assert_eq!(
+            packed.counter_values(),
+            tcbf.counter_values(),
+            "case {case}"
+        );
         assert_eq!(packed.set_bits(), tcbf.set_bits(), "case {case}");
         for k in &keys {
             assert_eq!(packed.min_counter(k), tcbf.min_counter(k), "case {case}");
             assert_eq!(packed.contains(k), tcbf.contains(k), "case {case}");
         }
         // Preference against the one-merge source filter.
-        let mut packed_one = PackedTcbf::new(256, 4, initial);
+        let mut packed_one = Tcbf4::new(256, 4, initial);
         packed_one.a_merge(&packed_src).unwrap();
-        let mut tcbf_one = Tcbf::new(256, 4, u32::from(initial));
+        let mut tcbf_one = Tcbf::new(256, 4, initial);
         tcbf_one.a_merge(&tcbf_src).unwrap();
         for k in &keys {
             assert_eq!(
@@ -162,9 +160,9 @@ fn differential_m_merge_matches_tcbf() {
         let mut rng = rng_for(2000 + case);
         let keys_a = random_keys(&mut rng, 10);
         let keys_b = random_keys(&mut rng, 10);
-        let mut packed = PackedTcbf::new(256, 4, 9);
+        let mut packed = Tcbf4::new(256, 4, 9);
         packed
-            .a_merge(&PackedTcbf::from_keys(
+            .a_merge(&Tcbf4::from_keys(
                 256,
                 4,
                 9,
@@ -182,7 +180,7 @@ fn differential_m_merge_matches_tcbf() {
         packed.decay(3);
         tcbf.decay(3);
         packed
-            .m_merge(&PackedTcbf::from_keys(
+            .m_merge(&Tcbf4::from_keys(
                 256,
                 4,
                 9,
@@ -196,12 +194,11 @@ fn differential_m_merge_matches_tcbf() {
             keys_b.iter().map(String::as_bytes),
         ))
         .unwrap();
-        let packed_vals: Vec<u32> = packed
-            .counter_values()
-            .iter()
-            .map(|&v| u32::from(v))
-            .collect();
-        assert_eq!(packed_vals, tcbf.counter_values(), "case {case}");
+        assert_eq!(
+            packed.counter_values(),
+            tcbf.counter_values(),
+            "case {case}"
+        );
     }
 }
 
@@ -209,8 +206,8 @@ fn differential_m_merge_matches_tcbf() {
 
 #[test]
 fn a_merge_saturates_at_15_and_stays_there() {
-    let src = PackedTcbf::from_keys(256, 4, 8, ["sat"]);
-    let mut relay = PackedTcbf::new(256, 4, 8);
+    let src = Tcbf4::from_keys(256, 4, 8, ["sat"]);
+    let mut relay = Tcbf4::new(256, 4, 8);
     relay.a_merge(&src).unwrap(); // 8
     relay.a_merge(&src).unwrap(); // 15 (8 + 8 clamps)
     assert_eq!(relay.min_counter("sat"), 15);
@@ -224,11 +221,11 @@ fn a_merge_saturates_at_15_and_stays_there() {
 #[test]
 fn saturation_commutes_with_m_merge() {
     // max(15, x) == 15 for any nibble, including another 15.
-    let full = PackedTcbf::from_keys(256, 4, 15, ["k"]);
-    let mut a = PackedTcbf::new(256, 4, 15);
+    let full = Tcbf4::from_keys(256, 4, 15, ["k"]);
+    let mut a = Tcbf4::new(256, 4, 15);
     a.a_merge(&full).unwrap();
     a.a_merge(&full).unwrap(); // saturated
-    let mut b = PackedTcbf::new(256, 4, 15);
+    let mut b = Tcbf4::new(256, 4, 15);
     b.m_merge(&full).unwrap();
     let mut ab = a.clone();
     ab.m_merge(&b).unwrap();
@@ -243,8 +240,8 @@ fn decay_at_or_past_15_empties_any_filter() {
     for case in 0..8 {
         let mut rng = rng_for(3000 + case);
         let keys = random_keys(&mut rng, 20);
-        let mut f = PackedTcbf::new(512, 4, 15);
-        f.a_merge(&PackedTcbf::from_keys(
+        let mut f = Tcbf4::new(512, 4, 15);
+        f.a_merge(&Tcbf4::from_keys(
             512,
             4,
             15,
@@ -267,14 +264,14 @@ fn lazy_decay_equals_eager_over_interleaved_schedules() {
     for case in 0..CASES {
         let mut rng = rng_for(4000 + case);
         let keys = random_keys(&mut rng, 8);
-        let sources: Vec<PackedTcbf> = (0..3)
+        let sources: Vec<Tcbf4> = (0..3)
             .map(|i| {
                 let ks: Vec<&String> = keys.iter().skip(i).step_by(2).collect();
-                let mut f = PackedTcbf::new(256, 4, 6);
+                let mut f = Tcbf4::new(256, 4, 6);
                 if ks.is_empty() {
                     return f;
                 }
-                f.a_merge(&PackedTcbf::from_keys(
+                f.a_merge(&Tcbf4::from_keys(
                     256,
                     4,
                     6,
@@ -285,13 +282,13 @@ fn lazy_decay_equals_eager_over_interleaved_schedules() {
             })
             .collect();
 
-        let mut lazy = PackedTcbf::new(256, 4, 6);
+        let mut lazy = Tcbf4::new(256, 4, 6);
         // Eager model: counters as plain bytes, decayed immediately.
-        let mut eager = vec![0u8; 256];
-        let apply_merge = |eager: &mut Vec<u8>, src: &PackedTcbf, additive: bool| {
+        let mut eager = vec![0u32; 256];
+        let apply_merge = |eager: &mut Vec<u32>, src: &Tcbf4, additive: bool| {
             for (i, v) in src.counter_values().into_iter().enumerate() {
                 eager[i] = if additive {
-                    (eager[i] + v).min(NIBBLE_MAX)
+                    (eager[i] + v).min(u32::from(NIBBLE_MAX))
                 } else {
                     eager[i].max(v)
                 };
@@ -314,7 +311,7 @@ fn lazy_decay_equals_eager_over_interleaved_schedules() {
                     let d = (rng.below(5)) as u32;
                     lazy.decay(d);
                     for c in &mut eager {
-                        *c = c.saturating_sub(d as u8);
+                        *c = c.saturating_sub(d);
                     }
                 }
                 _ => {
@@ -341,13 +338,13 @@ fn lazy_decay_equals_eager_over_interleaved_schedules() {
             let min_eager = {
                 // Recompute from the eager array via a fresh packed
                 // filter sharing the hasher's positions.
-                let probe = PackedTcbf::from_keys(256, 4, 1, [k.as_bytes()]);
+                let probe = Tcbf4::from_keys(256, 4, 1, [k.as_bytes()]);
                 probe
                     .counter_values()
                     .iter()
                     .enumerate()
                     .filter(|&(_, &v)| v > 0)
-                    .map(|(i, _)| u32::from(eager[i]))
+                    .map(|(i, _)| eager[i])
                     .min()
                     .unwrap_or(0)
             };
@@ -364,15 +361,15 @@ fn split_decay_equals_total_decay() {
         let mut rng = rng_for(5000 + case);
         let keys = random_keys(&mut rng, 10);
         let build = || {
-            let mut f = PackedTcbf::new(256, 4, 7);
-            f.a_merge(&PackedTcbf::from_keys(
+            let mut f = Tcbf4::new(256, 4, 7);
+            f.a_merge(&Tcbf4::from_keys(
                 256,
                 4,
                 7,
                 keys.iter().map(String::as_bytes),
             ))
             .unwrap();
-            f.a_merge(&PackedTcbf::from_keys(
+            f.a_merge(&Tcbf4::from_keys(
                 256,
                 4,
                 7,
@@ -400,7 +397,7 @@ fn split_decay_equals_total_decay() {
 /// Sparse A-merge ≡ dense A-merge under randomized epoch skew: the
 /// receiver and the source each carry independent random lazy-decay
 /// epochs, and folding `other` in dense form must leave the same
-/// materialized state as folding `other.sparse_words()` — the sparse
+/// materialized state as folding `other.to_sparse()` — the sparse
 /// path both materializes the source (sparse entries are epoch-free)
 /// and flushes the receiver's pending epoch before adding.
 #[test]
@@ -409,7 +406,7 @@ fn sparse_a_merge_matches_dense_under_epoch_skew() {
         let mut rng = rng_for(7000 + case);
 
         let build = |rng: &mut SplitMix64| {
-            let mut f = PackedTcbf::new(256, 4, (rng.below(14) + 1) as u8);
+            let mut f = Tcbf4::new(256, 4, (rng.below(14) + 1) as u32);
             for key in random_keys(rng, 12) {
                 let _ = f.insert(key);
             }
@@ -432,11 +429,10 @@ fn sparse_a_merge_matches_dense_under_epoch_skew() {
         dense.a_merge(&source).unwrap();
 
         let mut sparse = receiver.clone();
-        sparse.a_merge_sparse(&source.sparse_words());
+        sparse.a_merge_sparse(&source.to_sparse()).unwrap();
 
         assert_eq!(
-            dense.materialized_words(),
-            sparse.materialized_words(),
+            dense, sparse,
             "case {case}: dense and sparse A-merge diverged"
         );
         // Subsequent uniform decay keeps them in agreement too.
@@ -444,8 +440,7 @@ fn sparse_a_merge_matches_dense_under_epoch_skew() {
         dense.decay(d);
         sparse.decay(d);
         assert_eq!(
-            dense.materialized_words(),
-            sparse.materialized_words(),
+            dense, sparse,
             "case {case}: divergence after post-merge decay"
         );
     }

@@ -18,7 +18,7 @@
 //! ([`bsub_bloom::wire::crc16`]), so one checksum discipline covers
 //! both the filter payloads and the frames that carry them. A frame
 //! that fails the CRC, carries an unknown kind, a nonzero flags byte,
-//! or an oversized length is rejected with
+//! or a length over its kind's bound is rejected with
 //! [`std::io::ErrorKind::InvalidData`] and the connection is torn down
 //! by the peer layer: streams never resynchronize mid-connection
 //! (reset semantics, DESIGN.md §12.4).
@@ -32,7 +32,7 @@ pub const HEADER_LEN: usize = 8;
 /// Upper bound on a frame body. Node-state snapshots dominate frame
 /// sizes and stay far below this even for large traces; anything
 /// bigger is treated as stream corruption rather than read to
-/// exhaustion.
+/// exhaustion. A HELLO is bounded tighter, at its exact 4 bytes.
 pub const MAX_BODY_LEN: u32 = 64 * 1024 * 1024;
 
 /// The message kinds of the cluster protocol (DESIGN.md §12.3).
@@ -120,6 +120,19 @@ impl FrameKind {
         self as u8
     }
 
+    /// The largest body this kind may carry. A HELLO is one peer id,
+    /// and it arrives before the sender is authenticated, so its bound
+    /// is exact: a handshake header cannot make the reader allocate
+    /// more than 4 bytes. Every other kind is bounded by
+    /// [`MAX_BODY_LEN`].
+    #[must_use]
+    pub(crate) fn max_body_len(self) -> u32 {
+        match self {
+            FrameKind::Hello => 4,
+            _ => MAX_BODY_LEN,
+        }
+    }
+
     /// Stable lowercase name, used in trace events and metric rows.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -182,13 +195,14 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; rejects bodies over [`MAX_BODY_LEN`]
-    /// with [`io::ErrorKind::InvalidInput`] before writing anything.
+    /// Propagates I/O errors; rejects bodies over the kind's bound (4
+    /// bytes for HELLO, [`MAX_BODY_LEN`] otherwise) with
+    /// [`io::ErrorKind::InvalidInput`] before writing anything.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        if self.body.len() > MAX_BODY_LEN as usize {
+        if self.body.len() > self.kind.max_body_len() as usize {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "frame body exceeds MAX_BODY_LEN",
+                "frame body exceeds the kind's maximum length",
             ));
         }
         w.write_all(&self.header())?;
@@ -201,8 +215,10 @@ impl Frame {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidData`] for an unknown kind, nonzero
-    /// flags, an oversized length, or a CRC mismatch; otherwise
-    /// whatever the underlying reads return (an EOF mid-frame
+    /// flags, a length over the kind's bound (4 bytes for HELLO,
+    /// [`MAX_BODY_LEN`] otherwise; checked before the body is
+    /// allocated), or a CRC mismatch; otherwise whatever the
+    /// underlying reads return (an EOF mid-frame
     /// surfaces as [`io::ErrorKind::UnexpectedEof`]).
     pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
         let mut header = [0u8; HEADER_LEN];
@@ -216,10 +232,10 @@ impl Frame {
             ));
         }
         let len = u32::from_le_bytes(header[2..6].try_into().expect("4 bytes"));
-        if len > MAX_BODY_LEN {
+        if len > kind.max_body_len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "frame body length exceeds MAX_BODY_LEN",
+                "frame body length exceeds the kind's maximum",
             ));
         }
         let mut body = vec![0u8; len as usize];
@@ -329,6 +345,32 @@ mod tests {
         oversized[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = Frame::read_from(&mut oversized.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// An unauthenticated HELLO header claiming the global maximum
+    /// is rejected on its header alone: the reader consumes exactly
+    /// the 8 header bytes and never reaches the body allocation.
+    #[test]
+    fn oversized_hello_is_rejected_after_the_header() {
+        let mut bytes = vec![FrameKind::Hello.byte(), 0];
+        bytes.extend_from_slice(&MAX_BODY_LEN.to_le_bytes());
+        bytes.extend_from_slice(&[0, 0]);
+        bytes.extend_from_slice(&[0xAB; 64]); // the would-be body
+        let mut reader = io::Cursor::new(bytes);
+        let err = Frame::read_from(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(reader.position(), HEADER_LEN as u64);
+        // A well-formed HELLO still round-trips, and writing an
+        // oversized one is refused.
+        let hello = Frame::new(FrameKind::Hello, 7u32.to_le_bytes().to_vec());
+        assert_eq!(
+            Frame::read_from(&mut encode(&hello).as_slice()).unwrap(),
+            hello
+        );
+        let err = Frame::new(FrameKind::Hello, vec![0; 5])
+            .write_to(&mut Vec::new())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

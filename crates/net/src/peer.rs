@@ -135,16 +135,37 @@ struct Conn {
     epoch: u64,
 }
 
+/// What this peer knows about one remote peer: the one source of truth
+/// for both its connection and its lifecycle state.
+enum Entry {
+    /// The connection is live ([`ConnState::Established`]).
+    Live(Conn),
+    /// No connection: a handshake in flight (`Dialing`, `Accepting`),
+    /// or the retained end state of a gone one (`Draining`, `Closed`).
+    Down(ConnState),
+}
+
+impl Entry {
+    fn live(&self) -> Option<&Conn> {
+        match self {
+            Entry::Live(conn) => Some(conn),
+            Entry::Down(_) => None,
+        }
+    }
+}
+
 struct Shared {
     local: PeerId,
     queue_depth: usize,
-    conns: Mutex<HashMap<PeerId, Conn>>,
+    /// Every remote peer's [`Entry`]. Connection and state change
+    /// together under this one lock, so no interleaving can report a
+    /// state the connection table contradicts.
+    conns: Mutex<HashMap<PeerId, Entry>>,
     /// Signalled on every `conns` mutation (install, displacement,
     /// retirement, drain, shutdown) so waiters like
     /// [`PeerManager::await_connections`] never have to poll on a
     /// fixed sleep — the fix for the 1-vCPU assembly flake.
     conns_changed: Condvar,
-    states: Mutex<HashMap<PeerId, ConnState>>,
     inbound: Sender<(PeerId, Frame)>,
     shutdown: AtomicBool,
     epochs: AtomicU64,
@@ -155,9 +176,32 @@ struct Shared {
     trace: TraceSlot,
 }
 
+/// The number of live connections in a `conns` table.
+fn live_count(conns: &HashMap<PeerId, Entry>) -> usize {
+    conns.values().filter(|e| e.live().is_some()).count()
+}
+
 impl Shared {
-    fn set_state(&self, peer: PeerId, state: ConnState) {
-        self.states.lock().expect("states lock").insert(peer, state);
+    /// Marks a handshake toward `peer` as in flight (`Dialing` or
+    /// `Accepting`), unless a live connection already serves it: a
+    /// handshake that will lose to that connection must not mask it.
+    /// Returns whether the peer is already connected.
+    fn begin_handshake(&self, peer: PeerId, state: ConnState) -> bool {
+        let mut conns = self.conns.lock().expect("conns lock");
+        if matches!(conns.get(&peer), Some(Entry::Live(_))) {
+            return true;
+        }
+        conns.insert(peer, Entry::Down(state));
+        false
+    }
+
+    /// Reverts a failed handshake's `state` mark to `Idle`, unless
+    /// something newer (another handshake, a connection) replaced it.
+    fn fail_handshake(&self, peer: PeerId, state: ConnState) {
+        let mut conns = self.conns.lock().expect("conns lock");
+        if matches!(conns.get(&peer), Some(Entry::Down(s)) if *s == state) {
+            conns.remove(&peer);
+        }
     }
 
     fn trace(&self, event: NetEvent) {
@@ -197,7 +241,6 @@ impl PeerManager {
             queue_depth: config.queue_depth,
             conns: Mutex::new(HashMap::new()),
             conns_changed: Condvar::new(),
-            states: Mutex::new(HashMap::new()),
             inbound: inbound_tx,
             shutdown: AtomicBool::new(false),
             epochs: AtomicU64::new(0),
@@ -237,19 +280,17 @@ impl PeerManager {
     /// The lifecycle state of the connection toward `peer`.
     #[must_use]
     pub fn state(&self, peer: PeerId) -> ConnState {
-        *self
-            .shared
-            .states
-            .lock()
-            .expect("states lock")
-            .get(&peer)
-            .unwrap_or(&ConnState::Idle)
+        match self.shared.conns.lock().expect("conns lock").get(&peer) {
+            Some(Entry::Live(_)) => ConnState::Established,
+            Some(Entry::Down(state)) => *state,
+            None => ConnState::Idle,
+        }
     }
 
     /// The number of live connections.
     #[must_use]
     pub fn connection_count(&self) -> usize {
-        self.shared.conns.lock().expect("conns lock").len()
+        live_count(&self.shared.conns.lock().expect("conns lock"))
     }
 
     /// Dials `peer` at `addr` until a connection is established (in
@@ -274,18 +315,15 @@ impl PeerManager {
                     "peer manager is shut down",
                 ));
             }
-            if self.state(peer) == ConnState::Established {
+            if self.shared.begin_handshake(peer, ConnState::Dialing) {
                 return Ok(());
             }
-            self.shared.set_state(peer, ConnState::Dialing);
             self.shared.trace(NetEvent::Dial { peer, attempt });
             match self.dial_once(peer, addr) {
                 Ok(()) => return Ok(()),
                 Err(_) => {
                     self.shared.metrics.count(Counter::NetRetries, 1);
-                    if self.state(peer) == ConnState::Dialing {
-                        self.shared.set_state(peer, ConnState::Idle);
-                    }
+                    self.shared.fail_handshake(peer, ConnState::Dialing);
                     let delay = backoff.next_delay();
                     self.shared.trace(NetEvent::Retry {
                         peer,
@@ -338,7 +376,7 @@ impl PeerManager {
     pub fn send(&self, peer: PeerId, frame: Frame) -> io::Result<()> {
         let tx = {
             let conns = self.shared.conns.lock().expect("conns lock");
-            conns.get(&peer).map(|c| c.tx.clone())
+            conns.get(&peer).and_then(Entry::live).map(|c| c.tx.clone())
         };
         let tx = tx.ok_or_else(|| {
             io::Error::new(
@@ -396,15 +434,18 @@ impl PeerManager {
     pub fn await_connections(&self, count: usize, timeout: Duration) -> io::Result<()> {
         let deadline = Instant::now() + timeout;
         let mut conns = self.shared.conns.lock().expect("conns lock");
-        while conns.len() < count {
+        while live_count(&conns) < count {
             let now = Instant::now();
             if now >= deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("{} of {count} peers connected before timeout", conns.len()),
+                    format!(
+                        "{} of {count} peers connected before timeout",
+                        live_count(&conns)
+                    ),
                 ));
             }
-            let before = conns.len();
+            let before = live_count(&conns);
             let slice = (deadline - now).min(Duration::from_secs(1));
             let (guard, wait) = self
                 .shared
@@ -412,7 +453,7 @@ impl PeerManager {
                 .wait_timeout(conns, slice)
                 .expect("conns lock");
             conns = guard;
-            if wait.timed_out() && conns.len() <= before {
+            if wait.timed_out() && live_count(&conns) <= before {
                 self.shared.metrics.count(Counter::NetPollStarved, 1);
             }
         }
@@ -423,33 +464,34 @@ impl PeerManager {
     /// closed and flushed by the writer, then the write side shuts
     /// down; the peer observes a clean EOF after the last frame.
     pub fn drain(&self, peer: PeerId) {
-        let removed = {
-            let mut conns = self.shared.conns.lock().expect("conns lock");
-            let removed = conns.remove(&peer);
-            self.shared.conns_changed.notify_all();
-            removed
-        };
-        if removed.is_some() {
-            // Dropping the Conn drops its SyncSender; the writer
-            // thread drains the queue, then half-closes the socket.
-            self.shared.set_state(peer, ConnState::Draining);
-            self.shared.trace(NetEvent::Drain { peer });
+        let mut conns = self.shared.conns.lock().expect("conns lock");
+        if conns.get(&peer).and_then(Entry::live).is_none() {
+            return;
         }
+        // Dropping the Conn drops its SyncSender; the writer thread
+        // drains the queue, then half-closes the socket.
+        conns.insert(peer, Entry::Down(ConnState::Draining));
+        self.shared.conns_changed.notify_all();
+        drop(conns);
+        self.shared.trace(NetEvent::Drain { peer });
     }
 
     /// Tears down every connection and stops the accept loop.
     /// Idempotent; also invoked on drop.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        let conns: Vec<(PeerId, Conn)> = {
-            let mut guard = self.shared.conns.lock().expect("conns lock");
-            let drained = guard.drain().collect();
-            self.shared.conns_changed.notify_all();
-            drained
-        };
-        for (peer, conn) in conns {
-            conn.stream.shutdown_both();
-            self.shared.set_state(peer, ConnState::Closed);
+        let mut conns = self.shared.conns.lock().expect("conns lock");
+        let mut closed = Vec::new();
+        for (&peer, entry) in conns.iter_mut() {
+            if let Entry::Live(conn) = entry {
+                conn.stream.shutdown_both();
+                *entry = Entry::Down(ConnState::Closed);
+                closed.push(peer);
+            }
+        }
+        self.shared.conns_changed.notify_all();
+        drop(conns);
+        for peer in closed {
             self.shared.trace(NetEvent::Closed { peer });
         }
     }
@@ -505,11 +547,13 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener, handshake_timeout: Dur
 }
 
 fn accept_handshake(shared: &Arc<Shared>, mut stream: Stream, handshake_timeout: Duration) {
+    let mut accepting = None;
     let outcome = (|| -> io::Result<()> {
         stream.set_read_timeout(Some(handshake_timeout))?;
         let hello = Frame::read_from(&mut stream)?;
         let remote = decode_hello(&hello)?;
-        shared.set_state(remote, ConnState::Accepting);
+        accepting = Some(remote);
+        shared.begin_handshake(remote, ConnState::Accepting);
         Frame::new(FrameKind::Hello, shared.local.0.to_le_bytes().to_vec())
             .write_to(&mut stream)?;
         // Wait for the dialer's confirmation before installing: a
@@ -535,9 +579,11 @@ fn accept_handshake(shared: &Arc<Shared>, mut stream: Stream, handshake_timeout:
         install(shared, remote, stream, remote)?;
         Ok(())
     })();
-    // A failed handshake leaves no installed connection; nothing to
-    // clean up beyond dropping the socket.
-    let _ = outcome;
+    // A failed handshake leaves no installed connection; only its
+    // `Accepting` mark needs reverting.
+    if let (Err(_), Some(remote)) = (outcome, accepting) {
+        shared.fail_handshake(remote, ConnState::Accepting);
+    }
 }
 
 /// Installs a freshly handshaken connection, resolving a dial race if
@@ -548,7 +594,7 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
     let reader_stream = stream.try_clone()?;
     let writer_stream = stream.try_clone()?;
     let mut conns = shared.conns.lock().expect("conns lock");
-    if let Some(existing) = conns.get(&peer) {
+    if let Some(existing) = conns.get(&peer).and_then(Entry::live) {
         if existing.dialer < dialer {
             // The established connection wins: it was dialed by the
             // lower id. Discard the newcomer.
@@ -566,24 +612,21 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
         // new entry (epoch check).
         shared.metrics.count(Counter::NetRaceLost, 1);
         shared.trace(NetEvent::Displaced { peer });
-        if let Some(old) = conns.remove(&peer) {
-            old.stream.shutdown_both();
-        }
+        existing.stream.shutdown_both();
     }
     let epoch = shared.epochs.fetch_add(1, Ordering::SeqCst) + 1;
     let (tx, rx) = mpsc::sync_channel(shared.queue_depth);
     conns.insert(
         peer,
-        Conn {
+        Entry::Live(Conn {
             tx,
             stream,
             dialer,
             epoch,
-        },
+        }),
     );
     shared.conns_changed.notify_all();
     drop(conns);
-    shared.set_state(peer, ConnState::Established);
     shared.trace(NetEvent::HandshakeOk {
         peer,
         dialer: dialer == shared.local,
@@ -616,13 +659,15 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: Stream, peer: PeerId, epoch: u6
     let mut conns = shared.conns.lock().expect("conns lock");
     // Only retire the entry if it is still ours; if a dial race
     // displaced this connection, the winner's entry stays untouched.
-    if conns.get(&peer).is_some_and(|c| c.epoch == epoch) {
-        if let Some(conn) = conns.remove(&peer) {
-            conn.stream.shutdown_both();
-        }
+    if let Some(conn) = conns
+        .get(&peer)
+        .and_then(Entry::live)
+        .filter(|c| c.epoch == epoch)
+    {
+        conn.stream.shutdown_both();
+        conns.insert(peer, Entry::Down(ConnState::Closed));
         shared.conns_changed.notify_all();
         drop(conns);
-        shared.set_state(peer, ConnState::Closed);
         shared.trace(NetEvent::Closed { peer });
     }
 }
@@ -777,6 +822,41 @@ mod tests {
 
         // B never armed its sink: nothing recorded there.
         assert!(b.metrics().snapshot().is_empty());
+    }
+
+    /// The dial-race stale-state sequence, step by step: the link is
+    /// already established when an inbound handshake from the same peer
+    /// reaches its `Accepting` step, and that handshake then loses the
+    /// race in `install`. The live link must still read `Established`.
+    #[test]
+    fn losing_accept_keeps_established_state() {
+        let (a, _b, _a_addr, b_addr) = pair("stale");
+        a.connect(PeerId(1), &b_addr).unwrap();
+        assert_eq!(a.state(PeerId(1)), ConnState::Established);
+
+        // The inbound handshake from peer 1 reads its HELLO ...
+        assert!(a.shared.begin_handshake(PeerId(1), ConnState::Accepting));
+        assert_eq!(a.state(PeerId(1)), ConnState::Established);
+        // ... and installs a socket dialed by 1, which loses to the
+        // incumbent dialed by 0.
+        let stream = Stream::connect(&b_addr).unwrap();
+        let installed = install(&a.shared, PeerId(1), stream, PeerId(1)).unwrap();
+        assert!(!installed, "the incumbent dialed by the lower id wins");
+        assert_eq!(a.state(PeerId(1)), ConnState::Established);
+        assert_eq!(a.connection_count(), 1);
+    }
+
+    #[test]
+    fn failed_handshake_reverts_only_its_own_mark() {
+        let (a, _b, _a_addr, _b_addr) = pair("revert");
+        assert!(!a.shared.begin_handshake(PeerId(5), ConnState::Accepting));
+        assert_eq!(a.state(PeerId(5)), ConnState::Accepting);
+        // A newer dial replaced the mark: the failed accept leaves it.
+        assert!(!a.shared.begin_handshake(PeerId(5), ConnState::Dialing));
+        a.shared.fail_handshake(PeerId(5), ConnState::Accepting);
+        assert_eq!(a.state(PeerId(5)), ConnState::Dialing);
+        a.shared.fail_handshake(PeerId(5), ConnState::Dialing);
+        assert_eq!(a.state(PeerId(5)), ConnState::Idle);
     }
 
     #[test]
