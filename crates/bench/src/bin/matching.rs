@@ -35,7 +35,10 @@
 //! Deterministic work counters (live subscribers, tiers, pool filters,
 //! compactions, tier probes, candidates, matches) go into the CSV in
 //! both modes; wall-clock rates go to stdout, the full CSV, and the
-//! perf-gate entry in `BENCH_perf.json`.
+//! perf-gate entry in `BENCH_perf.json`. The printed table also shows
+//! `scan%` (members of hit tiers, per live subscriber and event) next
+//! to `confirm%` (those that passed the position-signature check and
+//! were confirmed exactly) — the layer the signature prefilter moved.
 
 use bsub_bench::output::{render_table, results_dir, write_csv};
 use bsub_bench::perf::{self, PerfEntry, Tolerance};
@@ -80,6 +83,7 @@ struct CellOutcome {
     tier_probes: u64,
     tier_hits: u64,
     candidates: u64,
+    confirmed: u64,
     matched: u64,
     ref_events: usize,
     ref_candidates: u64,
@@ -211,6 +215,7 @@ fn run_cell(cell: &Cell, prof: bool) -> CellOutcome {
         tier_probes: set.stats.tier_probes,
         tier_hits: set.stats.tier_hits,
         candidates: set.stats.candidates,
+        confirmed: set.stats.confirmed,
         matched: set.stats.matched,
         ref_events: ref_batch.len(),
         ref_candidates: ref_set.stats.candidates,
@@ -306,6 +311,7 @@ fn main() {
     let table_rows: Vec<Vec<String>> = outcomes
         .iter()
         .map(|o| {
+            let scanned = o.live.max(1) as f64 * o.events as f64;
             vec![
                 o.subs.to_string(),
                 o.live.to_string(),
@@ -313,10 +319,8 @@ fn main() {
                 format!("{:.1}", o.index_ns_per_event / 1e3),
                 format!("{:.1}", o.ref_ns_per_event / 1e3),
                 format!("{:.1}", o.speedup),
-                format!(
-                    "{:.1}",
-                    o.candidates as f64 / (o.live.max(1) as f64 * o.events as f64) * 100.0
-                ),
+                format!("{:.1}", o.candidates as f64 / scanned * 100.0),
+                format!("{:.2}", o.confirmed as f64 / scanned * 100.0),
             ]
         })
         .collect();
@@ -331,7 +335,8 @@ fn main() {
                 "index_us/ev",
                 "ref_us/ev",
                 "speedup",
-                "scan%"
+                "scan%",
+                "confirm%"
             ],
             &table_rows,
         )

@@ -26,6 +26,14 @@
 //! naive reference scan evaluates — so the index returns *identical*
 //! matches to the reference, Bloom false positives included.
 //!
+//! Between the two sits a **position signature**: each tier keeps, slot
+//! for slot with its member ids, a 64-bit word per member — the OR of
+//! `1 << (p & 63)` over the member's positions. The event's `k`
+//! positions fold into a mask the same way, and a member is confirmed
+//! only when `sig & mask == mask`. The check is exact: if every event
+//! position lies in the member's set, every mask bit is set in its
+//! signature, so it only rejects members the confirmation would reject.
+//!
 //! # The no-false-negative invariant
 //!
 //! Tier pruning is sound because every tier pool is a counterwise
@@ -136,8 +144,11 @@ pub struct MatchStats {
     pub tier_probes: u64,
     /// Tier probes that reported the key present.
     pub tier_hits: u64,
-    /// Exact member confirmations attempted after pruning.
+    /// Members of a tier whose probe hit, summed over tier hits.
     pub candidates: u64,
+    /// Candidates that passed the position-signature check and were
+    /// confirmed exactly.
+    pub confirmed: u64,
     /// Confirmed (subscriber, event) matches.
     pub matched: u64,
 }
@@ -216,7 +227,35 @@ struct Subscriber {
 struct Tier {
     pool: TcbfPool,
     members: Vec<u64>,
+    /// Position signature of each member, slot-aligned with `members`.
+    sigs: Vec<u64>,
     tombstones: usize,
+}
+
+impl Tier {
+    fn new(params: &MatchParams, theta: f64) -> Self {
+        Self {
+            pool: TcbfPool::new(
+                params.member_bits,
+                params.member_hashes,
+                params.initial,
+                theta,
+            ),
+            members: Vec::new(),
+            sigs: Vec::new(),
+            tombstones: 0,
+        }
+    }
+
+    fn push(&mut self, id: u64, positions: &[u32]) {
+        self.members.push(id);
+        self.sigs.push(signature(positions));
+    }
+}
+
+/// The 64-bit position signature: bit `p mod 64` for every position.
+fn signature(positions: &[u32]) -> u64 {
+    positions.iter().fold(0, |sig, &p| sig | 1 << (p & 63))
 }
 
 /// The broker-level subscription index: tiers of aggregated TCBF pools
@@ -391,7 +430,7 @@ impl MatchIndex {
         positions.dedup();
 
         let tier = self.open_tier();
-        self.tiers[tier].members.push(id);
+        self.tiers[tier].push(id, &positions);
         for &digest in &digests {
             self.tiers[tier].pool.reinforce(digest, self.params.initial);
         }
@@ -414,16 +453,7 @@ impl MatchIndex {
             t += 1;
         }
         if t == self.tiers.len() {
-            self.tiers.push(Tier {
-                pool: TcbfPool::new(
-                    self.params.member_bits,
-                    self.params.member_hashes,
-                    self.params.initial,
-                    self.theta,
-                ),
-                members: Vec::new(),
-                tombstones: 0,
-            });
+            self.tiers.push(Tier::new(&self.params, self.theta));
         }
         self.open = t;
         t
@@ -523,7 +553,15 @@ impl MatchIndex {
     fn remove(&mut self, id: u64) {
         let sub = self.subs.remove(&id).expect("caller checked presence");
         let tier = &mut self.tiers[sub.tier];
-        tier.members.retain(|&m| m != id);
+        // `Vec::remove`, not `swap_remove`: member order is observable
+        // through `export_state` and the compaction reinforce order.
+        let slot = tier
+            .members
+            .iter()
+            .position(|&m| m == id)
+            .expect("member lives in its tier");
+        tier.members.remove(slot);
+        tier.sigs.remove(slot);
         tier.tombstones += 1;
         self.open = self.open.min(sub.tier);
         let live = tier.members.len();
@@ -574,7 +612,8 @@ impl MatchIndex {
     /// Matches a batch of events against every live subscription.
     ///
     /// Each event key is hashed once; candidate tiers are pruned via
-    /// their aggregate pools before members are confirmed exactly.
+    /// their aggregate pools, and a hit tier's members via their
+    /// position signatures, before the rest are confirmed exactly.
     /// Returns per-event subscriber lists identical to what the naive
     /// per-filter scan ([`crate::ReferenceMatcher`]) produces.
     #[must_use]
@@ -597,6 +636,7 @@ impl MatchIndex {
                     .map(|p| p as u32),
             );
         }
+        let masks: Vec<u64> = positions.chunks_exact(k).map(signature).collect();
 
         let mut matches: Vec<Vec<u64>> = vec![Vec::new(); events.len()];
         for tier in &self.tiers {
@@ -620,8 +660,14 @@ impl MatchIndex {
                     continue;
                 }
                 stats.tier_hits += 1;
-                for &id in &tier.members {
-                    stats.candidates += 1;
+                stats.candidates += tier.members.len() as u64;
+                let mask = masks[ei];
+                for (slot, &sig) in tier.sigs.iter().enumerate() {
+                    if sig & mask != mask {
+                        continue;
+                    }
+                    stats.confirmed += 1;
+                    let id = tier.members[slot];
                     let sub = &self.subs[&id];
                     if self.strength_of(sub) > 0
                         && mp.iter().all(|p| sub.positions.binary_search(p).is_ok())
@@ -684,16 +730,7 @@ impl MatchIndex {
         idx.epoch = state.epoch;
         let tiers = state.subs.iter().map(|s| s.tier + 1).max().unwrap_or(0);
         for _ in 0..tiers {
-            idx.tiers.push(Tier {
-                pool: TcbfPool::new(
-                    state.params.member_bits,
-                    state.params.member_hashes,
-                    state.params.initial,
-                    idx.theta,
-                ),
-                members: Vec::new(),
-                tombstones: 0,
-            });
+            idx.tiers.push(Tier::new(&state.params, idx.theta));
         }
         let k = state.params.member_hashes;
         for sub in &state.subs {
@@ -707,7 +744,7 @@ impl MatchIndex {
             positions.sort_unstable();
             positions.dedup();
             let tier = &mut idx.tiers[sub.tier];
-            tier.members.push(sub.id);
+            tier.push(sub.id, &positions);
             assert!(
                 tier.members.len() <= state.params.tier_size,
                 "tier {} overflows tier_size",
@@ -745,6 +782,7 @@ impl MatchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReferenceMatcher;
 
     fn small() -> MatchParams {
         MatchParams {
@@ -881,6 +919,149 @@ mod tests {
         assert_eq!(idx.live_count(), 6);
         assert_eq!(idx.unsubscribe_bulk(&[0, 1, 99]), 2);
         assert_eq!(idx.live_count(), 4);
+    }
+
+    /// Params whose filters are wide enough that a member's own key
+    /// never collides into a neighbour's: `own-{id}` matches exactly
+    /// `id`, so a signature read from the wrong slot shows as a miss.
+    fn slotted() -> MatchParams {
+        MatchParams {
+            member_bits: 4096,
+            tier_size: 8,
+            ..small()
+        }
+    }
+
+    fn own_key(id: u64) -> Vec<String> {
+        vec![format!("own-{id}")]
+    }
+
+    /// Matches every live member's own key and checks each event hits
+    /// exactly its owner, then cross-checks the whole batch against a
+    /// reference scan mirrored by the caller.
+    fn assert_owners_match(idx: &MatchIndex, reference: &ReferenceMatcher, live: &[u64]) {
+        let events: Vec<Event> = live
+            .iter()
+            .map(|&id| Event::new(format!("own-{id}")))
+            .collect();
+        let set = idx.match_events(&events);
+        for (&id, per_event) in live.iter().zip(&set.matches) {
+            assert_eq!(per_event, &vec![id], "own-{id}");
+        }
+        assert_eq!(set.matches, reference.match_events(&events).matches);
+    }
+
+    #[test]
+    fn unsubscribe_mid_tier_keeps_signatures_aligned() {
+        let mut idx = MatchIndex::new(slotted());
+        let mut reference = ReferenceMatcher::from_params(&slotted());
+        for id in 0..8 {
+            idx.subscribe(id, &own_key(id));
+            reference.subscribe(id, &own_key(id));
+        }
+        assert_eq!(idx.tier_count(), 1, "one full tier");
+        idx.unsubscribe(3);
+        reference.unsubscribe(3);
+        assert_eq!(idx.compactions(), 0, "one tombstone must not compact");
+        let order: Vec<u64> = idx.export_state().subs.iter().map(|s| s.id).collect();
+        assert_eq!(order, [0, 1, 2, 4, 5, 6, 7], "removal keeps member order");
+        assert_owners_match(&idx, &reference, &[0, 1, 2, 4, 5, 6, 7]);
+        // The freed slot is refilled at the tier's end.
+        idx.subscribe(8, &own_key(8));
+        reference.subscribe(8, &own_key(8));
+        assert_owners_match(&idx, &reference, &[0, 1, 2, 4, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn resubscribe_across_tiers_keeps_signatures_aligned() {
+        let mut idx = MatchIndex::new(slotted());
+        let mut reference = ReferenceMatcher::from_params(&slotted());
+        for id in 0..16 {
+            idx.subscribe(id, &own_key(id));
+            reference.subscribe(id, &own_key(id));
+        }
+        // Open a slot in tier 0, then resubscribe a mid-tier member of
+        // tier 1 under a new key: it leaves tier 1 and lands in tier 0.
+        idx.unsubscribe(1);
+        reference.unsubscribe(1);
+        idx.subscribe(11, &["moved"]);
+        reference.subscribe(11, &["moved"]);
+        let tier_of = |idx: &MatchIndex, id: u64| {
+            idx.export_state()
+                .subs
+                .iter()
+                .find(|s| s.id == id)
+                .map(|s| s.tier)
+        };
+        assert_eq!(tier_of(&idx, 11), Some(0), "resubscribe moved tiers");
+        let live: Vec<u64> = (0..16).filter(|&id| id != 1 && id != 11).collect();
+        assert_owners_match(&idx, &reference, &live);
+        let set = idx.match_events(&[Event::new("moved"), Event::new("own-11")]);
+        assert_eq!(set.matches, vec![vec![11], vec![]]);
+    }
+
+    #[test]
+    fn compaction_after_heavy_churn_keeps_signatures_aligned() {
+        let mut idx = MatchIndex::new(slotted());
+        let mut reference = ReferenceMatcher::from_params(&slotted());
+        for id in 0..64 {
+            idx.subscribe(id, &own_key(id));
+            reference.subscribe(id, &own_key(id));
+        }
+        // Scattered removals and refills: every tier loses members from
+        // the middle, and enough of them to compact.
+        for id in (0..64).filter(|id| id % 3 != 0) {
+            idx.unsubscribe(id);
+            reference.unsubscribe(id);
+        }
+        for id in 100..110 {
+            idx.subscribe(id, &own_key(id));
+            reference.subscribe(id, &own_key(id));
+        }
+        assert!(idx.compactions() > 0, "churn must have compacted");
+        let live: Vec<u64> = (0..64).filter(|id| id % 3 == 0).chain(100..110).collect();
+        assert_owners_match(&idx, &reference, &live);
+    }
+
+    #[test]
+    fn restored_index_matches_like_the_exported_one() {
+        let mut idx = MatchIndex::new(slotted());
+        for id in 0..40 {
+            idx.subscribe(id, &[format!("own-{id}"), format!("topic-{}", id % 7)]);
+        }
+        for id in [2, 5, 9, 17, 18, 30] {
+            idx.unsubscribe(id);
+        }
+        idx.decay(3);
+        idx.subscribe(5, &["own-5", "late"]);
+        let restored = MatchIndex::from_state(&idx.export_state());
+        let batch: Vec<Event> = (0..40)
+            .map(|id| Event::new(format!("own-{id}")))
+            .chain((0..7).map(|t| Event::new(format!("topic-{t}"))))
+            .chain([Event::new("late"), Event::new("absent")])
+            .collect();
+        let before = idx.match_events(&batch);
+        assert!(before.total() > 40, "the batch must exercise matching");
+        assert_eq!(restored.match_events(&batch).matches, before.matches);
+    }
+
+    #[test]
+    fn signature_check_only_rejects_non_matches() {
+        let mut idx = MatchIndex::new(small());
+        for id in 0..12 {
+            idx.subscribe(id, &keys_of(id));
+        }
+        let events: Vec<Event> = (0..5)
+            .map(|t| Event::new(format!("topic-{t}")))
+            .chain([Event::new("absent")])
+            .collect();
+        let set = idx.match_events(&events);
+        assert!(set.stats.matched <= set.stats.confirmed);
+        assert!(
+            set.stats.confirmed < set.stats.candidates,
+            "signatures must reject some candidates: {:?}",
+            set.stats
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   [`bsub_bloom::TcbfPool`]s (the Section VI-D allocator), with bulk
 //!   subscribe/unsubscribe/expire, lock-step decay, tombstone-driven
 //!   compaction, and a batched [`MatchIndex::match_events`] path that
-//!   hashes each event once and prunes candidates through the tier
-//!   hierarchy before exact per-subscriber confirmation.
+//!   hashes each event once, prunes candidates through the tier
+//!   hierarchy and a 64-bit per-member position signature, and
+//!   confirms the survivors exactly per subscriber.
 //! - [`ReferenceMatcher`] — the naive per-filter scan kept in-tree as
 //!   the differential oracle: `tests/differential.rs` drives both
 //!   implementations through 100+ seeded interleavings and demands

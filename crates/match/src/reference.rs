@@ -119,6 +119,7 @@ impl ReferenceMatcher {
                     .collect()
             })
             .collect();
+        stats.confirmed = stats.candidates;
         stats.matched = matches.iter().map(|m| m.len() as u64).sum();
         MatchSet { matches, stats }
     }
@@ -136,6 +137,10 @@ mod tests {
         let set = reference.match_events(&[Event::new("pears")]);
         assert_eq!(set.matches[0], vec![1, 2]);
         assert_eq!(set.stats.candidates, 2);
+        assert_eq!(
+            set.stats.confirmed, 2,
+            "no prefilter: every candidate is confirmed"
+        );
 
         assert_eq!(reference.expire(5), 1, "deadline passed");
         reference.decay(8);

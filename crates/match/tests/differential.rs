@@ -13,11 +13,14 @@
 //!
 //! Geometries are chosen adversarially: tiny filters force hash
 //! collisions and tier-pool false positives, tiny tiers force spills
-//! and compactions, small initial counters force expiry boundaries.
-//! Four geometries × ≥30 seeds each = 130 seeded interleavings.
+//! and compactions, small initial counters force expiry boundaries,
+//! and key-heavy subscribers saturate the 64-bit position signatures
+//! the index prefilters members with. Five geometries × ≥30 seeds
+//! each = 160 seeded interleavings.
 
-use bsub_bloom::SplitMix64;
-use bsub_match::{Event, MatchIndex, MatchParams, ReferenceMatcher};
+use bsub_bloom::{KeyHasher, SplitMix64};
+use bsub_match::{Event, MatchIndex, MatchParams, Probe, ReferenceMatcher};
+use std::ops::RangeInclusive;
 
 const KEY_POOL: usize = 40;
 const STEPS: usize = 70;
@@ -26,14 +29,28 @@ fn key(i: u64) -> String {
     format!("key-{}", i % KEY_POOL as u64)
 }
 
-/// Draw 1–4 keys from the shared pool (never zero: the index keeps a
-/// keyless subscription alive until its uniform counter decays while
-/// the reference's empty filter expires immediately — both match
-/// nothing either way, but `expire` *counts* would diverge and this
-/// harness asserts those too).
-fn draw_keys(rng: &mut SplitMix64) -> Vec<String> {
-    let n = 1 + (rng.next_u64() % 4) as usize;
+/// Draw a key count from `count` and that many keys from the shared
+/// pool. The range must exclude zero: the index keeps a keyless
+/// subscription alive until its uniform counter decays while the
+/// reference's empty filter expires immediately — both match nothing
+/// either way, but `expire` *counts* would diverge and this harness
+/// asserts those too.
+fn draw_keys(rng: &mut SplitMix64, count: &RangeInclusive<usize>) -> Vec<String> {
+    let span = (count.end() - count.start() + 1) as u64;
+    let n = count.start() + (rng.next_u64() % span) as usize;
     (0..n).map(|_| key(rng.next_u64())).collect()
+}
+
+/// Whether the index's 64-bit position signature of `keys` (bit
+/// `p mod 64` per member position) is all ones.
+fn signature_saturates(keys: &[String], params: &MatchParams) -> bool {
+    let hasher = KeyHasher::default();
+    let sig = keys.iter().fold(0u64, |sig, k| {
+        Probe::new(&hasher, k.as_bytes())
+            .positions(params.member_hashes, params.member_bits)
+            .fold(sig, |sig, p| sig | 1 << (p & 63))
+    });
+    sig == u64::MAX
 }
 
 fn draw_batch(rng: &mut SplitMix64) -> Vec<Event> {
@@ -49,8 +66,21 @@ fn draw_batch(rng: &mut SplitMix64) -> Vec<Event> {
         .collect()
 }
 
-/// Runs one seeded interleaving; returns compactions performed.
-fn drive(seed: u64, params: MatchParams) -> u64 {
+/// What one interleaving exercised, beyond the equality it asserts.
+#[derive(Default)]
+struct Coverage {
+    compactions: u64,
+    /// Subscriptions whose position signature was all ones.
+    saturated: u64,
+    /// Members that passed the signature check yet failed the exact
+    /// confirmation (signature aliasing).
+    aliased: u64,
+}
+
+/// Runs one seeded interleaving, each subscription drawing its key
+/// count from `keys_per_sub`.
+fn drive(seed: u64, params: MatchParams, keys_per_sub: &RangeInclusive<usize>) -> Coverage {
+    let mut coverage = Coverage::default();
     let mut rng = SplitMix64::new(seed);
     let mut index = MatchIndex::new(params);
     let mut reference = ReferenceMatcher::from_params(&params);
@@ -69,7 +99,8 @@ fn drive(seed: u64, params: MatchParams) -> u64 {
                     ids.push(next_id);
                     next_id
                 };
-                let keys = draw_keys(&mut rng);
+                let keys = draw_keys(&mut rng, keys_per_sub);
+                coverage.saturated += u64::from(signature_saturates(&keys, &params));
                 if rng.next_u64() % 10 < 3 {
                     let deadline = now + 1 + rng.next_u64() % 12;
                     index.subscribe_until(id, &keys, deadline);
@@ -119,6 +150,7 @@ fn drive(seed: u64, params: MatchParams) -> u64 {
                 );
                 assert_eq!(ours.stats.matched, oracle.stats.matched);
                 assert_eq!(ours.total(), oracle.total());
+                coverage.aliased += ours.stats.confirmed - ours.stats.matched;
             }
         }
     }
@@ -133,18 +165,28 @@ fn drive(seed: u64, params: MatchParams) -> u64 {
     let ours = index.match_events(&closing);
     let oracle = reference.match_events(&closing);
     assert_eq!(ours.matches, oracle.matches, "seed {seed}: closing sweep");
-    index.compactions()
+    coverage.compactions = index.compactions();
+    coverage
 }
 
-fn run_geometry(name: &str, params: MatchParams, seeds: std::ops::Range<u64>) {
-    let mut compactions = 0;
+fn run_geometry(
+    name: &str,
+    params: MatchParams,
+    keys_per_sub: RangeInclusive<usize>,
+    seeds: std::ops::Range<u64>,
+) -> Coverage {
+    let mut total = Coverage::default();
     for seed in seeds {
-        compactions += drive(SplitMix64::mix(0xB50B, seed), params);
+        let one = drive(SplitMix64::mix(0xB50B, seed), params, &keys_per_sub);
+        total.compactions += one.compactions;
+        total.saturated += one.saturated;
+        total.aliased += one.aliased;
     }
     assert!(
-        compactions > 0,
+        total.compactions > 0,
         "{name}: churn never compacted a tier — the suite lost coverage"
     );
+    total
 }
 
 #[test]
@@ -160,6 +202,7 @@ fn differential_default_like_geometry() {
             keys_per_subscriber_hint: 3,
             compact_ratio: 0.5,
         },
+        1..=4,
         0..40,
     );
 }
@@ -181,6 +224,7 @@ fn differential_collision_heavy_geometry() {
             keys_per_subscriber_hint: 2,
             compact_ratio: 0.3,
         },
+        1..=4,
         0..30,
     );
 }
@@ -200,6 +244,7 @@ fn differential_tiny_tiers_geometry() {
             keys_per_subscriber_hint: 2,
             compact_ratio: 0.4,
         },
+        1..=4,
         0..30,
     );
 }
@@ -218,7 +263,34 @@ fn differential_wide_geometry() {
             keys_per_subscriber_hint: 4,
             compact_ratio: 0.5,
         },
+        1..=4,
         0..30,
+    );
+}
+
+#[test]
+fn differential_saturated_signature_geometry() {
+    // 16–96 keys per subscriber at k = 8: a member covers most of the
+    // 40-key pool, its positions alias mod 64, and many signatures are
+    // all ones — the prefilter then passes every event and the exact
+    // confirmation alone must decide.
+    let params = MatchParams {
+        member_bits: 1024,
+        member_hashes: 8,
+        initial: 8,
+        tier_size: 6,
+        tier_budget_bytes: 8 * 1024,
+        keys_per_subscriber_hint: 48,
+        compact_ratio: 0.5,
+    };
+    let coverage = run_geometry("saturated-signature", params, 16..=96, 0..30);
+    assert!(
+        coverage.saturated > 0,
+        "no subscription saturated its signature — the geometry lost its point"
+    );
+    assert!(
+        coverage.aliased > 0,
+        "the signature check never passed a non-match — no aliasing reached"
     );
 }
 
@@ -229,7 +301,7 @@ fn differential_wide_geometry() {
 /// interleavings total across the suite).
 #[test]
 fn suite_runs_at_least_100_interleavings() {
-    // 40 + 30 + 30 + 30 seeded drives run in the four tests above.
-    let total = 40 + 30 + 30 + 30;
+    // 40 + 30 + 30 + 30 + 30 seeded drives run in the five tests above.
+    let total = 40 + 30 + 30 + 30 + 30;
     assert!(total >= 100);
 }

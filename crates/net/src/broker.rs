@@ -51,13 +51,21 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+/// Most keys one `SUBSCRIBE` may carry. An unbounded key list would
+/// let one member cover most of the filter — a position set and
+/// signature that pass every event — and be confirmed on every match.
+pub const MAX_SUBSCRIBE_KEYS: usize = 256;
+
+/// Longest key, in bytes, a `SUBSCRIBE` or `PUBLISH` may carry.
+pub const MAX_KEY_LEN: usize = 1024;
+
 /// `SUBSCRIBE` body: a TTL and the key set (DESIGN.md §16.2).
 ///
 /// ```text
 /// offset  size  field
 ///      0     8  ttl_ms   — u64 LE; 0 = no deadline
-///      8     4  keys     — key count, u32 LE
-///     12     …  per key: len u32 LE, then len bytes (UTF-8)
+///      8     4  keys     — key count, u32 LE (≤ MAX_SUBSCRIBE_KEYS)
+///     12     …  per key: len u32 LE (≤ MAX_KEY_LEN), then len bytes (UTF-8)
 /// ```
 ///
 /// A client's new `SUBSCRIBE` *replaces* its previous one (same
@@ -75,6 +83,11 @@ impl SubscribeBody {
     /// Encodes the body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
+        debug_assert!(self.keys.len() <= MAX_SUBSCRIBE_KEYS, "too many keys");
+        debug_assert!(
+            self.keys.iter().all(|k| k.len() <= MAX_KEY_LEN),
+            "key too long"
+        );
         let mut out = Vec::with_capacity(12 + self.keys.iter().map(|k| 4 + k.len()).sum::<usize>());
         out.extend_from_slice(&self.ttl_ms.to_le_bytes());
         out.extend_from_slice(&(self.keys.len() as u32).to_le_bytes());
@@ -85,16 +98,20 @@ impl SubscribeBody {
         out
     }
 
-    /// Decodes a body; `None` on truncation, trailing bytes, or
-    /// non-UTF-8 keys.
+    /// Decodes a body; `None` on truncation, trailing bytes, non-UTF-8
+    /// keys, more than [`MAX_SUBSCRIBE_KEYS`] keys, or a key longer
+    /// than [`MAX_KEY_LEN`].
     #[must_use]
     pub fn decode(body: &[u8]) -> Option<Self> {
         let mut r = Cursor::new(body);
         let ttl_ms = r.u64()?;
-        let count = r.u32()?;
-        let mut keys = Vec::with_capacity(count.min(1024) as usize);
+        let count = r.u32()? as usize;
+        if count > MAX_SUBSCRIBE_KEYS {
+            return None;
+        }
+        let mut keys = Vec::with_capacity(count);
         for _ in 0..count {
-            keys.push(r.string()?);
+            keys.push(r.key()?);
         }
         r.done()?;
         Some(Self { ttl_ms, keys })
@@ -107,7 +124,7 @@ impl SubscribeBody {
 /// offset  size  field
 ///      0     8  seq      — publisher-chosen sequence id, u64 LE
 ///      8     8  sent_ns  — publisher's UNIX-epoch send time, u64 LE
-///     16     4  len      — key length, u32 LE
+///     16     4  len      — key length, u32 LE (≤ MAX_KEY_LEN)
 ///     20   len  key      — UTF-8 bytes
 /// ```
 ///
@@ -129,6 +146,7 @@ impl PublishBody {
     /// Encodes the body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
+        debug_assert!(self.key.len() <= MAX_KEY_LEN, "key too long");
         let mut out = Vec::with_capacity(20 + self.key.len());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.sent_ns.to_le_bytes());
@@ -137,14 +155,14 @@ impl PublishBody {
         out
     }
 
-    /// Decodes a body; `None` on truncation, trailing bytes, or a
-    /// non-UTF-8 key.
+    /// Decodes a body; `None` on truncation, trailing bytes, a
+    /// non-UTF-8 key, or a key longer than [`MAX_KEY_LEN`].
     #[must_use]
     pub fn decode(body: &[u8]) -> Option<Self> {
         let mut r = Cursor::new(body);
         let seq = r.u64()?;
         let sent_ns = r.u64()?;
-        let key = r.string()?;
+        let key = r.key()?;
         r.done()?;
         Some(Self { seq, sent_ns, key })
     }
@@ -233,7 +251,19 @@ impl<'a> Cursor<'a> {
     }
 
     fn string(&mut self) -> Option<String> {
+        self.string_up_to(usize::MAX)
+    }
+
+    /// A client-supplied key: a string of at most [`MAX_KEY_LEN`] bytes.
+    fn key(&mut self) -> Option<String> {
+        self.string_up_to(MAX_KEY_LEN)
+    }
+
+    fn string_up_to(&mut self, max_len: usize) -> Option<String> {
         let len = self.u32()? as usize;
+        if len > max_len {
+            return None;
+        }
         String::from_utf8(self.take(len)?.to_vec()).ok()
     }
 
@@ -839,6 +869,51 @@ mod tests {
         .encode();
         lying[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(PublishBody::decode(&lying).is_none());
+    }
+
+    #[test]
+    fn admission_caps_accept_the_cap_and_reject_one_past() {
+        let long = "k".repeat(MAX_KEY_LEN);
+        let sub = SubscribeBody {
+            ttl_ms: 0,
+            keys: (0..MAX_SUBSCRIBE_KEYS).map(|i| i.to_string()).collect(),
+        };
+        assert_eq!(SubscribeBody::decode(&sub.encode()), Some(sub.clone()));
+        let sub_long = SubscribeBody {
+            ttl_ms: 0,
+            keys: vec![long.clone()],
+        };
+        assert_eq!(SubscribeBody::decode(&sub_long.encode()), Some(sub_long));
+        let publ = PublishBody {
+            seq: 1,
+            sent_ns: 2,
+            key: long.clone(),
+        };
+        assert_eq!(PublishBody::decode(&publ.encode()), Some(publ));
+
+        // One key past the count cap: rejected from the count field
+        // alone, before any key is read.
+        let mut too_many = sub.encode();
+        too_many[8..12].copy_from_slice(&(MAX_SUBSCRIBE_KEYS as u32 + 1).to_le_bytes());
+        too_many.extend_from_slice(&1u32.to_le_bytes());
+        too_many.push(b'x');
+        assert!(SubscribeBody::decode(&too_many).is_none());
+
+        // One byte past the key-length cap, hand-encoded because
+        // `encode` debug-asserts the caps.
+        let over = format!("{long}k");
+        let mut sub_over = Vec::new();
+        sub_over.extend_from_slice(&0u64.to_le_bytes());
+        sub_over.extend_from_slice(&1u32.to_le_bytes());
+        sub_over.extend_from_slice(&(over.len() as u32).to_le_bytes());
+        sub_over.extend_from_slice(over.as_bytes());
+        assert!(SubscribeBody::decode(&sub_over).is_none());
+        let mut publ_over = Vec::new();
+        publ_over.extend_from_slice(&1u64.to_le_bytes());
+        publ_over.extend_from_slice(&2u64.to_le_bytes());
+        publ_over.extend_from_slice(&(over.len() as u32).to_le_bytes());
+        publ_over.extend_from_slice(over.as_bytes());
+        assert!(PublishBody::decode(&publ_over).is_none());
     }
 
     #[test]

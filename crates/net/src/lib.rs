@@ -69,7 +69,7 @@ pub mod transport;
 pub use backoff::Backoff;
 pub use broker::{
     unix_ns, BrokerClient, BrokerConfig, BrokerNode, BrokerOp, ClockWheel, DeliverBody, Delivery,
-    PublishBody, SubscribeBody,
+    PublishBody, SubscribeBody, MAX_KEY_LEN, MAX_SUBSCRIBE_KEYS,
 };
 pub use cluster::{
     peer_addr, run_coordinator, run_coordinator_with, run_worker, ClusterOutcome, ClusterSpec,
