@@ -321,6 +321,31 @@ bsub_net_frame_stats_bytes_count 1
     }
 
     #[test]
+    fn every_slot_exposition_is_pinned() {
+        // The same every-slot report as bsub-obs's golden test: counter
+        // `i` = `i + 1`, gauge `i` = `100 + i`, one distinct sample per
+        // histogram. Pins byte length and FNV-1a 64 of the exposition.
+        let mut r = ProfReport::default();
+        for (i, c) in (0u64..).zip(Counter::ALL) {
+            r.add_counter(c, i + 1);
+        }
+        for (i, g) in (0u64..).zip(Gauge::ALL) {
+            r.raise_gauge(g, 100 + i);
+        }
+        for (i, h) in (0u64..).zip(TimeHist::ALL) {
+            r.record_time(h, 3 << i);
+        }
+        for (i, h) in (0u64..).zip(SizeHist::ALL) {
+            r.record_size(h, 5 << i);
+        }
+        let text = render_prometheus(&r);
+        let fnv = text.bytes().fold(0xCBF2_9CE4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        });
+        assert_eq!((text.len(), fnv), (14927, 0x0172_27E0_BA63_477E));
+    }
+
+    #[test]
     fn server_serves_text_json_and_404() {
         let handle = StatsHandle::new();
         handle.merge(&sample_report());

@@ -611,4 +611,169 @@ mod tests {
         direct.record_time(TimeHist::NetExchangeNs, 1 << 33);
         assert_eq!(direct, via_profiler);
     }
+
+    /// FNV-1a 64 — a dependency-free fingerprint for the golden outputs
+    /// pinned below.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// One report touching every slot: counter `i` = `i + 1`, gauge `i`
+    /// = `100 + i`, and one distinct sample per histogram, each in its
+    /// own log2 bucket.
+    fn every_slot_report() -> ProfReport {
+        let mut r = ProfReport::default();
+        for (i, c) in (0u64..).zip(Counter::ALL) {
+            r.add_counter(c, i + 1);
+        }
+        for (i, g) in (0u64..).zip(Gauge::ALL) {
+            r.raise_gauge(g, 100 + i);
+        }
+        for (i, h) in (0u64..).zip(TimeHist::ALL) {
+            r.record_time(h, 3 << i);
+        }
+        for (i, h) in (0u64..).zip(SizeHist::ALL) {
+            r.record_size(h, 5 << i);
+        }
+        r
+    }
+
+    #[test]
+    fn taxonomy_names_are_pinned() {
+        // The report, JSON, table, and Prometheus order of every family.
+        assert_eq!(
+            Counter::ALL.map(Counter::name),
+            [
+                "tcbf_insert",
+                "tcbf_a_merge",
+                "tcbf_m_merge",
+                "tcbf_decay",
+                "tcbf_query",
+                "tcbf_preference",
+                "wire_encode",
+                "wire_decode_ok",
+                "wire_decode_reject",
+                "election_promote",
+                "election_demote",
+                "match_checked",
+                "match_hit",
+                "contacts",
+                "fault_contact_lost",
+                "fault_truncated",
+                "fault_corruption_draw",
+                "node_reset",
+                "link_exhausted",
+                "control_bytes",
+                "data_bytes",
+                "wire_bytes",
+                "net_frames_sent",
+                "net_frames_recv",
+                "net_bytes_sent",
+                "net_bytes_recv",
+                "net_retries",
+                "net_race_lost",
+                "match_subscribe",
+                "match_unsubscribe",
+                "match_expire",
+                "match_compact",
+                "match_events",
+                "match_tier_probes",
+                "match_candidates",
+                "match_matched",
+                "net_poll_starved",
+                "net_send_stalls",
+                "net_stats_frames",
+                "broker_subscribes",
+                "broker_unsubscribes",
+                "broker_publishes",
+                "broker_deliveries",
+                "broker_expired",
+                "broker_batches",
+            ]
+        );
+        assert_eq!(
+            Gauge::ALL.map(Gauge::name),
+            ["buffer_msgs_hwm", "buffer_bytes_hwm",]
+        );
+        assert_eq!(
+            TimeHist::ALL.map(TimeHist::name),
+            [
+                "tcbf_merge_ns",
+                "tcbf_decay_ns",
+                "tcbf_preference_ns",
+                "wire_encode_ns",
+                "wire_decode_ns",
+                "contact_ns",
+                "net_exchange_ns",
+                "match_batch_ns",
+                "net_frame_hello_ns",
+                "net_frame_dispatch_ns",
+                "net_frame_state_req_ns",
+                "net_frame_state_grant_ns",
+                "net_frame_state_ret_ns",
+                "net_frame_exchange_result_ns",
+                "net_frame_node_free_ns",
+                "net_frame_advance_ns",
+                "net_frame_publish_ok_ns",
+                "net_frame_done_ns",
+                "net_frame_stats_ns",
+                "net_frame_subscribe_ns",
+                "net_frame_unsubscribe_ns",
+                "net_frame_publish_ns",
+                "net_frame_deliver_ns",
+                "broker_batch_ns",
+                "scale_derive_ns",
+                "scale_merge_ns",
+                "scale_query_ns",
+                "scale_decay_ns",
+            ]
+        );
+        assert_eq!(
+            SizeHist::ALL.map(SizeHist::name),
+            [
+                "encoded_filter_bytes",
+                "contact_bytes",
+                "match_batch_events",
+                "match_batch_candidates",
+                "net_frame_hello_bytes",
+                "net_frame_dispatch_bytes",
+                "net_frame_state_req_bytes",
+                "net_frame_state_grant_bytes",
+                "net_frame_state_ret_bytes",
+                "net_frame_exchange_result_bytes",
+                "net_frame_node_free_bytes",
+                "net_frame_advance_bytes",
+                "net_frame_publish_ok_bytes",
+                "net_frame_done_bytes",
+                "net_frame_stats_bytes",
+                "net_frame_subscribe_bytes",
+                "net_frame_unsubscribe_bytes",
+                "net_frame_publish_bytes",
+                "net_frame_deliver_bytes",
+                "broker_batch_ops",
+            ]
+        );
+    }
+
+    #[test]
+    fn every_slot_outputs_are_pinned() {
+        // Byte length and FNV-1a 64 of each rendering of a report that
+        // touches every slot: any change to taxonomy order, names, or
+        // the wire, JSON, or table layout moves at least one of them.
+        let report = every_slot_report();
+        let mut table = MetricsReport::new();
+        table.add("golden", &report);
+        let pin = |bytes: &[u8]| (bytes.len(), fnv1a64(bytes));
+        assert_eq!(pin(&report.encode()), (2402, 0x3C03_F841_9F11_58F1));
+        assert_eq!(
+            pin(report.to_json().as_bytes()),
+            (6017, 0xEF7E_B9A5_5639_4E8D)
+        );
+        assert_eq!(
+            pin(table.render_table().as_bytes()),
+            (6517, 0x418E_729F_C780_E739)
+        );
+    }
 }
