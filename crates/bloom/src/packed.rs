@@ -22,7 +22,7 @@
 //! holding values ≤ 15 can be added, subtracted, and compared without
 //! cross-lane carries, which is what makes the merges branch-free.
 //!
-//! The scalar reference implementations in [`reference`] define the
+//! The scalar reference implementations in [`reference`](mod@reference) define the
 //! intended per-nibble semantics; `tests/packed.rs` checks the SWAR
 //! kernels against them exhaustively at the 8-bit-lane level, and the
 //! 4-bit filter against the 32-bit one over seeded key sets.

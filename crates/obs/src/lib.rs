@@ -25,14 +25,25 @@
 //! full `u64` range) with exact count/sum/min/max, good enough for
 //! p50/p90/p99/max summaries without storing samples.
 //!
+//! Each family is declared once, as a table whose rows are a doc
+//! comment and `Variant => "name",`; the table generates the enum,
+//! its `ALL` array, and `name()`, so adding a metric is one row. Row
+//! order is report and wire order. The `bsub-net` per-frame-kind
+//! histograms are one contiguous block per family in `FrameKind`
+//! order: adding a frame kind is one row per family, appended to that
+//! block. Any added row changes the taxonomy lengths in the wire
+//! header, so [`ProfReport::decode`] rejects reports from peers built
+//! before the change instead of misreading them.
+//!
 //! Each simulation run executes entirely on one worker thread (the
 //! `bsub_bench::engine` contract), so the profiler is thread-local:
-//! [`start`] installs a fresh one, [`finish`] collects it as a
-//! [`ProfReport`]. Reports merge commutatively (counter sums, gauge
-//! high-water maxima, bucket-wise histogram sums), which is what makes
-//! the aggregated [`MetricsReport`] invariant under worker count and
-//! scheduling order — wall-clock *timing* histograms are the one
-//! exception, and are excluded from invariance claims.
+//! [`start`] installs a fresh [`ProfReport`] and instrumentation
+//! records into it through the same methods a cross-thread sink uses;
+//! [`finish`] hands it back. Reports merge commutatively (counter
+//! sums, gauge high-water maxima, bucket-wise histogram sums), which
+//! is what makes the aggregated [`MetricsReport`] invariant under
+//! worker count and scheduling order — wall-clock *timing* histograms
+//! are the one exception, and are excluded from invariance claims.
 //!
 //! For components whose work crosses threads or processes — the
 //! `bsub-net` runtime's socket threads, a cluster shipping per-worker
@@ -67,7 +78,7 @@ mod report;
 
 pub use crate::hist::Histogram;
 pub use crate::profiler::{
-    absorb, count, finish, gauge_add, gauge_set, gauge_sub, is_active, observe, observe_ns, span,
-    start, Counter, Gauge, SizeHist, Span, TimeHist, OCCUPANCY_SAMPLE_PERIOD,
+    absorb, count, finish, gauge_set, is_active, observe, observe_ns, span, start, Counter, Gauge,
+    SizeHist, Span, TimeHist, OCCUPANCY_SAMPLE_PERIOD,
 };
 pub use crate::report::{calibrate_ns, MetricsReport, ProfReport};

@@ -7,242 +7,178 @@
 //! `bsub-core` records election and matching, `bsub-sim` records the
 //! contact loop, link budgets, and fault draws, and the baselines
 //! record buffer occupancy.
+//!
+//! Each metric is one row of a `metrics!` table: its doc comment,
+//! then `Variant => "name",`. The row order is the report, JSON,
+//! table, Prometheus, and wire order, so new rows are appended to the
+//! family (or to the block they extend) and never reordered.
 
-use crate::hist::Histogram;
 use crate::report::ProfReport;
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
-/// Monotonic event counters, recorded with [`count`].
-///
-/// All byte counters count *payload-level* bytes as the cost model of
-/// the paper does; `WireBytes` counts actual encoded control-filter
-/// bytes produced by `bsub_bloom::wire::encode`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// TCBF key insertions.
-    TcbfInsert,
-    /// Additive (reinforcement) merges.
-    TcbfAMerge,
-    /// Maximum merges (broker ↔ broker).
-    TcbfMMerge,
-    /// Decay applications with a non-zero amount.
-    TcbfDecay,
-    /// Existential / minimum-counter queries.
-    TcbfQuery,
-    /// Preferential queries (Section IV-A).
-    TcbfPreference,
-    /// Successful wire encodings of a control filter.
-    WireEncode,
-    /// Successful wire decodings.
-    WireDecodeOk,
-    /// Wire decodings rejected (truncation or CRC mismatch).
-    WireDecodeReject,
-    /// Broker elections resolving to a promotion.
-    ElectionPromote,
-    /// Broker elections resolving to a demotion.
-    ElectionDemote,
-    /// Message-to-interest matching checks.
-    MatchChecked,
-    /// Matching checks that hit (message delivered or forwarded).
-    MatchHit,
-    /// Contacts processed by the runner loop.
-    Contacts,
-    /// Contacts dropped entirely by fault injection.
-    FaultContactLost,
-    /// Contacts with a fault-truncated link budget.
-    FaultTruncated,
-    /// Corruption randomness draws taken from a fault stream.
-    FaultCorruptionDraw,
-    /// Node state resets due to churn rejoin.
-    NodeReset,
-    /// Transfers refused because the link budget was exhausted.
-    LinkExhausted,
-    /// Control-plane bytes sent (filters, requests, identities).
-    ControlBytes,
-    /// Data-plane bytes sent (message payloads).
-    DataBytes,
-    /// Encoded control-filter bytes produced by the wire codec.
-    WireBytes,
-    /// Network frames written to a socket (`bsub-net`).
-    NetFramesSent,
-    /// Network frames read and accepted from a socket (`bsub-net`).
-    NetFramesRecv,
-    /// Bytes written to sockets, headers included (`bsub-net`).
-    NetBytesSent,
-    /// Bytes read from sockets, headers included (`bsub-net`).
-    NetBytesRecv,
-    /// Dial attempts that were retried after a connect failure or
-    /// handshake timeout (`bsub-net`).
-    NetRetries,
-    /// Connections closed as the losing side of a simultaneous-dial
-    /// race (`bsub-net`).
-    NetRaceLost,
-    /// Subscriptions added to a `bsub-match` index.
-    MatchSubscribe,
-    /// Subscriptions removed from a `bsub-match` index.
-    MatchUnsubscribe,
-    /// Subscriptions expired out of a `bsub-match` index (deadline
-    /// passed or filter fully decayed).
-    MatchExpire,
-    /// Tier rebuilds triggered by tombstone accumulation
-    /// (`bsub-match` compaction).
-    MatchCompact,
-    /// Events processed through the batched `match_events` path.
-    MatchEvents,
-    /// Tier-aggregate probes taken while pruning a batch.
-    MatchTierProbes,
-    /// Exact per-subscriber confirmations attempted after tier
-    /// pruning (the candidates the hierarchy could not rule out).
-    MatchCandidates,
-    /// Confirmed (subscriber, event) matches produced by the index.
-    MatchMatched,
-    /// Poll/wait intervals that elapsed without observable progress in
-    /// `bsub-net`'s connection-assembly waits — the starvation
-    /// visibility counter for single-CPU schedulers.
-    NetPollStarved,
-    /// Outbound sends that found a connection's bounded queue full and
-    /// had to block (`bsub-net` backpressure stalls).
-    NetSendStalls,
-    /// `STATS` frames merged into a live cluster-wide report
-    /// (`bsub-net` coordinator side).
-    NetStatsFrames,
-    /// `SUBSCRIBE` frames applied to a live broker's match index
-    /// (`bsub-net` broker service loop).
-    BrokerSubscribes,
-    /// `UNSUBSCRIBE` frames applied to a live broker's match index.
-    BrokerUnsubscribes,
-    /// `PUBLISH` frames matched through a live broker's index.
-    BrokerPublishes,
-    /// `DELIVER` frames a live broker enqueued toward subscribers
-    /// (one per confirmed or false-positive match).
-    BrokerDeliveries,
-    /// Subscriptions a live broker evicted because their real-clock
-    /// deadline passed (clock-wheel expiry).
-    BrokerExpired,
-    /// Service-loop batches a live broker drained from its inbound
-    /// queues (each batch is one drain + match + deliver cycle).
-    BrokerBatches,
+/// Declares one metric family from a table of rows, each a doc
+/// comment followed by `Variant => "name",`. Generates the
+/// `#[repr(usize)]` enum (variant `i` indexes slot `i` of a report),
+/// `ALL` in row order with a macro-counted length, and `name()`.
+macro_rules! metrics {
+    (
+        $(#[$meta:meta])*
+        pub enum $family:ident {
+            $( $(#[$row_meta:meta])* $variant:ident => $name:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum $family {
+            $( $(#[$row_meta])* $variant, )+
+        }
+
+        impl $family {
+            /// Every variant, in stable report order (row order).
+            pub const ALL: [$family; [$($family::$variant),+].len()] = [$($family::$variant),+];
+
+            /// Stable snake-case name used in JSON, tables, and the
+            /// Prometheus exposition.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $family::$variant => $name, )+
+                }
+            }
+        }
+    };
 }
 
-impl Counter {
-    /// Every counter, in stable report order.
-    pub const ALL: [Counter; 45] = [
-        Counter::TcbfInsert,
-        Counter::TcbfAMerge,
-        Counter::TcbfMMerge,
-        Counter::TcbfDecay,
-        Counter::TcbfQuery,
-        Counter::TcbfPreference,
-        Counter::WireEncode,
-        Counter::WireDecodeOk,
-        Counter::WireDecodeReject,
-        Counter::ElectionPromote,
-        Counter::ElectionDemote,
-        Counter::MatchChecked,
-        Counter::MatchHit,
-        Counter::Contacts,
-        Counter::FaultContactLost,
-        Counter::FaultTruncated,
-        Counter::FaultCorruptionDraw,
-        Counter::NodeReset,
-        Counter::LinkExhausted,
-        Counter::ControlBytes,
-        Counter::DataBytes,
-        Counter::WireBytes,
-        Counter::NetFramesSent,
-        Counter::NetFramesRecv,
-        Counter::NetBytesSent,
-        Counter::NetBytesRecv,
-        Counter::NetRetries,
-        Counter::NetRaceLost,
-        Counter::MatchSubscribe,
-        Counter::MatchUnsubscribe,
-        Counter::MatchExpire,
-        Counter::MatchCompact,
-        Counter::MatchEvents,
-        Counter::MatchTierProbes,
-        Counter::MatchCandidates,
-        Counter::MatchMatched,
-        Counter::NetPollStarved,
-        Counter::NetSendStalls,
-        Counter::NetStatsFrames,
-        Counter::BrokerSubscribes,
-        Counter::BrokerUnsubscribes,
-        Counter::BrokerPublishes,
-        Counter::BrokerDeliveries,
-        Counter::BrokerExpired,
-        Counter::BrokerBatches,
-    ];
-
-    /// Stable snake-case name used in JSON and tables.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::TcbfInsert => "tcbf_insert",
-            Counter::TcbfAMerge => "tcbf_a_merge",
-            Counter::TcbfMMerge => "tcbf_m_merge",
-            Counter::TcbfDecay => "tcbf_decay",
-            Counter::TcbfQuery => "tcbf_query",
-            Counter::TcbfPreference => "tcbf_preference",
-            Counter::WireEncode => "wire_encode",
-            Counter::WireDecodeOk => "wire_decode_ok",
-            Counter::WireDecodeReject => "wire_decode_reject",
-            Counter::ElectionPromote => "election_promote",
-            Counter::ElectionDemote => "election_demote",
-            Counter::MatchChecked => "match_checked",
-            Counter::MatchHit => "match_hit",
-            Counter::Contacts => "contacts",
-            Counter::FaultContactLost => "fault_contact_lost",
-            Counter::FaultTruncated => "fault_truncated",
-            Counter::FaultCorruptionDraw => "fault_corruption_draw",
-            Counter::NodeReset => "node_reset",
-            Counter::LinkExhausted => "link_exhausted",
-            Counter::ControlBytes => "control_bytes",
-            Counter::DataBytes => "data_bytes",
-            Counter::WireBytes => "wire_bytes",
-            Counter::NetFramesSent => "net_frames_sent",
-            Counter::NetFramesRecv => "net_frames_recv",
-            Counter::NetBytesSent => "net_bytes_sent",
-            Counter::NetBytesRecv => "net_bytes_recv",
-            Counter::NetRetries => "net_retries",
-            Counter::NetRaceLost => "net_race_lost",
-            Counter::MatchSubscribe => "match_subscribe",
-            Counter::MatchUnsubscribe => "match_unsubscribe",
-            Counter::MatchExpire => "match_expire",
-            Counter::MatchCompact => "match_compact",
-            Counter::MatchEvents => "match_events",
-            Counter::MatchTierProbes => "match_tier_probes",
-            Counter::MatchCandidates => "match_candidates",
-            Counter::MatchMatched => "match_matched",
-            Counter::NetPollStarved => "net_poll_starved",
-            Counter::NetSendStalls => "net_send_stalls",
-            Counter::NetStatsFrames => "net_stats_frames",
-            Counter::BrokerSubscribes => "broker_subscribes",
-            Counter::BrokerUnsubscribes => "broker_unsubscribes",
-            Counter::BrokerPublishes => "broker_publishes",
-            Counter::BrokerDeliveries => "broker_deliveries",
-            Counter::BrokerExpired => "broker_expired",
-            Counter::BrokerBatches => "broker_batches",
-        }
+metrics! {
+    /// Monotonic event counters, recorded with [`count`].
+    ///
+    /// All byte counters count *payload-level* bytes as the cost model of
+    /// the paper does; `WireBytes` counts actual encoded control-filter
+    /// bytes produced by `bsub_bloom::wire::encode`.
+    pub enum Counter {
+        /// TCBF key insertions.
+        TcbfInsert => "tcbf_insert",
+        /// Additive (reinforcement) merges.
+        TcbfAMerge => "tcbf_a_merge",
+        /// Maximum merges (broker ↔ broker).
+        TcbfMMerge => "tcbf_m_merge",
+        /// Decay applications with a non-zero amount.
+        TcbfDecay => "tcbf_decay",
+        /// Existential / minimum-counter queries.
+        TcbfQuery => "tcbf_query",
+        /// Preferential queries (Section IV-A).
+        TcbfPreference => "tcbf_preference",
+        /// Successful wire encodings of a control filter.
+        WireEncode => "wire_encode",
+        /// Successful wire decodings.
+        WireDecodeOk => "wire_decode_ok",
+        /// Wire decodings rejected (truncation or CRC mismatch).
+        WireDecodeReject => "wire_decode_reject",
+        /// Broker elections resolving to a promotion.
+        ElectionPromote => "election_promote",
+        /// Broker elections resolving to a demotion.
+        ElectionDemote => "election_demote",
+        /// Message-to-interest matching checks.
+        MatchChecked => "match_checked",
+        /// Matching checks that hit (message delivered or forwarded).
+        MatchHit => "match_hit",
+        /// Contacts processed by the runner loop.
+        Contacts => "contacts",
+        /// Contacts dropped entirely by fault injection.
+        FaultContactLost => "fault_contact_lost",
+        /// Contacts with a fault-truncated link budget.
+        FaultTruncated => "fault_truncated",
+        /// Corruption randomness draws taken from a fault stream.
+        FaultCorruptionDraw => "fault_corruption_draw",
+        /// Node state resets due to churn rejoin.
+        NodeReset => "node_reset",
+        /// Transfers refused because the link budget was exhausted.
+        LinkExhausted => "link_exhausted",
+        /// Control-plane bytes sent (filters, requests, identities).
+        ControlBytes => "control_bytes",
+        /// Data-plane bytes sent (message payloads).
+        DataBytes => "data_bytes",
+        /// Encoded control-filter bytes produced by the wire codec.
+        WireBytes => "wire_bytes",
+        /// Network frames written to a socket (`bsub-net`).
+        NetFramesSent => "net_frames_sent",
+        /// Network frames read and accepted from a socket (`bsub-net`).
+        NetFramesRecv => "net_frames_recv",
+        /// Bytes written to sockets, headers included (`bsub-net`).
+        NetBytesSent => "net_bytes_sent",
+        /// Bytes read from sockets, headers included (`bsub-net`).
+        NetBytesRecv => "net_bytes_recv",
+        /// Dial attempts that were retried after a connect failure or
+        /// handshake timeout (`bsub-net`).
+        NetRetries => "net_retries",
+        /// Connections closed as the losing side of a simultaneous-dial
+        /// race (`bsub-net`).
+        NetRaceLost => "net_race_lost",
+        /// Subscriptions added to a `bsub-match` index.
+        MatchSubscribe => "match_subscribe",
+        /// Subscriptions removed from a `bsub-match` index.
+        MatchUnsubscribe => "match_unsubscribe",
+        /// Subscriptions expired out of a `bsub-match` index (deadline
+        /// passed or filter fully decayed).
+        MatchExpire => "match_expire",
+        /// Tier rebuilds triggered by tombstone accumulation
+        /// (`bsub-match` compaction).
+        MatchCompact => "match_compact",
+        /// Events processed through the batched `match_events` path.
+        MatchEvents => "match_events",
+        /// Tier-aggregate probes taken while pruning a batch.
+        MatchTierProbes => "match_tier_probes",
+        /// Exact per-subscriber confirmations attempted after tier
+        /// pruning (the candidates the hierarchy could not rule out).
+        MatchCandidates => "match_candidates",
+        /// Confirmed (subscriber, event) matches produced by the index.
+        MatchMatched => "match_matched",
+        /// Poll/wait intervals that elapsed without observable progress in
+        /// `bsub-net`'s connection-assembly waits — the starvation
+        /// visibility counter for single-CPU schedulers.
+        NetPollStarved => "net_poll_starved",
+        /// Outbound sends that found a connection's bounded queue full and
+        /// had to block (`bsub-net` backpressure stalls).
+        NetSendStalls => "net_send_stalls",
+        /// `STATS` frames merged into a live cluster-wide report
+        /// (`bsub-net` coordinator side).
+        NetStatsFrames => "net_stats_frames",
+        /// `SUBSCRIBE` frames applied to a live broker's match index
+        /// (`bsub-net` broker service loop).
+        BrokerSubscribes => "broker_subscribes",
+        /// `UNSUBSCRIBE` frames applied to a live broker's match index.
+        BrokerUnsubscribes => "broker_unsubscribes",
+        /// `PUBLISH` frames matched through a live broker's index.
+        BrokerPublishes => "broker_publishes",
+        /// `DELIVER` frames a live broker enqueued toward subscribers
+        /// (one per confirmed or false-positive match).
+        BrokerDeliveries => "broker_deliveries",
+        /// Subscriptions a live broker evicted because their real-clock
+        /// deadline passed (clock-wheel expiry).
+        BrokerExpired => "broker_expired",
+        /// Service-loop batches a live broker drained from its inbound
+        /// queues (each batch is one drain + match + deliver cycle).
+        BrokerBatches => "broker_batches",
     }
 }
 
-/// Level gauges with high-water tracking, driven by [`gauge_add`] /
-/// [`gauge_sub`] (incremental) or [`gauge_set`] (absolute).
-///
-/// A report keeps only the high-water mark — the peak is what memory
-/// sizing cares about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Messages resident in protocol buffers, across all nodes.
-    BufferMsgs,
-    /// Payload bytes resident in protocol buffers, across all nodes.
-    /// The workspace's memory-high-water proxy: message payloads
-    /// dominate the simulator's per-node state.
-    BufferBytes,
+metrics! {
+    /// Level gauges with high-water tracking, driven by [`gauge_set`]
+    /// (absolute levels). Like every family, adding a gauge is one row
+    /// of this table.
+    ///
+    /// A report keeps only the high-water mark — the peak is what memory
+    /// sizing cares about.
+    pub enum Gauge {
+        /// Messages resident in protocol buffers, across all nodes.
+        BufferMsgs => "buffer_msgs_hwm",
+        /// Payload bytes resident in protocol buffers, across all nodes.
+        /// The workspace's memory-high-water proxy: message payloads
+        /// dominate the simulator's per-node state.
+        BufferBytes => "buffer_bytes_hwm",
+    }
 }
 
 /// How often protocols walk their buffers to refresh the occupancy
@@ -254,287 +190,131 @@ pub enum Gauge {
 /// by time.
 pub const OCCUPANCY_SAMPLE_PERIOD: u64 = 64;
 
-impl Gauge {
-    /// Every gauge, in stable report order.
-    pub const ALL: [Gauge; 2] = [Gauge::BufferMsgs, Gauge::BufferBytes];
-
-    /// Stable snake-case name used in JSON and tables.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::BufferMsgs => "buffer_msgs_hwm",
-            Gauge::BufferBytes => "buffer_bytes_hwm",
-        }
+metrics! {
+    /// Wall-clock timing histograms (nanoseconds), recorded with [`span`].
+    ///
+    /// Timing is machine- and scheduling-dependent, so these are *excluded*
+    /// from worker-count-invariance guarantees; everything else in a
+    /// report is deterministic.
+    pub enum TimeHist {
+        /// One TCBF merge (A- or M-).
+        MergeNs => "tcbf_merge_ns",
+        /// One TCBF decay application.
+        DecayNs => "tcbf_decay_ns",
+        /// One preferential query.
+        PreferenceNs => "tcbf_preference_ns",
+        /// One wire encode.
+        EncodeNs => "wire_encode_ns",
+        /// One wire decode (accepted or rejected).
+        DecodeNs => "wire_decode_ns",
+        /// One full protocol contact handler.
+        ContactNs => "contact_ns",
+        /// One networked contact exchange, dispatch to result, as seen by
+        /// the cluster coordinator (`bsub-net`).
+        NetExchangeNs => "net_exchange_ns",
+        /// One batched `match_events` call on a `bsub-match` index.
+        MatchBatchNs => "match_batch_ns",
+        /// Socket-write latency of one `HELLO` frame (`bsub-net`). The
+        /// per-frame-kind families below measure the writer thread's
+        /// wall clock from dequeuing a frame to the flushed socket write,
+        /// so OS-buffer backpressure shows up per kind. Each family is
+        /// one contiguous block in `FrameKind` order, which
+        /// `bsub_net::frame_time_hist` indexes by offset.
+        NetFrameHelloNs => "net_frame_hello_ns",
+        /// Socket-write latency of one `DISPATCH` frame.
+        NetFrameDispatchNs => "net_frame_dispatch_ns",
+        /// Socket-write latency of one `STATE_REQ` frame.
+        NetFrameStateReqNs => "net_frame_state_req_ns",
+        /// Socket-write latency of one `STATE_GRANT` frame.
+        NetFrameStateGrantNs => "net_frame_state_grant_ns",
+        /// Socket-write latency of one `STATE_RET` frame.
+        NetFrameStateRetNs => "net_frame_state_ret_ns",
+        /// Socket-write latency of one `RESULT` frame.
+        NetFrameExchangeResultNs => "net_frame_exchange_result_ns",
+        /// Socket-write latency of one `NODE_FREE` frame.
+        NetFrameNodeFreeNs => "net_frame_node_free_ns",
+        /// Socket-write latency of one `ADVANCE` frame.
+        NetFrameAdvanceNs => "net_frame_advance_ns",
+        /// Socket-write latency of one `PUBLISH_OK` frame.
+        NetFramePublishOkNs => "net_frame_publish_ok_ns",
+        /// Socket-write latency of one `DONE` frame.
+        NetFrameDoneNs => "net_frame_done_ns",
+        /// Socket-write latency of one `STATS` frame.
+        NetFrameStatsNs => "net_frame_stats_ns",
+        /// Socket-write latency of one `SUBSCRIBE` frame.
+        NetFrameSubscribeNs => "net_frame_subscribe_ns",
+        /// Socket-write latency of one `UNSUBSCRIBE` frame.
+        NetFrameUnsubscribeNs => "net_frame_unsubscribe_ns",
+        /// Socket-write latency of one `PUBLISH` frame.
+        NetFramePublishNs => "net_frame_publish_ns",
+        /// Socket-write latency of one `DELIVER` frame.
+        NetFrameDeliverNs => "net_frame_deliver_ns",
+        /// One broker service-loop batch: drain the inbound queues, expire
+        /// due deadlines, apply subscribe/unsubscribe, match the publish
+        /// run, enqueue deliveries (`bsub-net` broker).
+        BrokerBatchNs => "broker_batch_ns",
+        /// One epoch's A-merge derivation phase in the sharded scale
+        /// engine (phase A, per shard).
+        ScaleDeriveNs => "scale_derive_ns",
+        /// One epoch's cross-shard merge phase (phase B, per shard).
+        ScaleMergeNs => "scale_merge_ns",
+        /// One epoch's query phase (phase C, per shard).
+        ScaleQueryNs => "scale_query_ns",
+        /// One epoch's decay phase (phase D, per shard).
+        ScaleDecayNs => "scale_decay_ns",
     }
 }
 
-/// Wall-clock timing histograms (nanoseconds), recorded with [`span`].
-///
-/// Timing is machine- and scheduling-dependent, so these are *excluded*
-/// from worker-count-invariance guarantees; everything else in a
-/// report is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum TimeHist {
-    /// One TCBF merge (A- or M-).
-    MergeNs,
-    /// One TCBF decay application.
-    DecayNs,
-    /// One preferential query.
-    PreferenceNs,
-    /// One wire encode.
-    EncodeNs,
-    /// One wire decode (accepted or rejected).
-    DecodeNs,
-    /// One full protocol contact handler.
-    ContactNs,
-    /// One networked contact exchange, dispatch to result, as seen by
-    /// the cluster coordinator (`bsub-net`).
-    NetExchangeNs,
-    /// One batched `match_events` call on a `bsub-match` index.
-    MatchBatchNs,
-    /// Socket-write latency of one `HELLO` frame (`bsub-net`). The
-    /// per-frame-kind families below measure the writer thread's
-    /// wall clock from dequeuing a frame to the flushed socket write,
-    /// so OS-buffer backpressure shows up per kind.
-    NetFrameHelloNs,
-    /// Socket-write latency of one `DISPATCH` frame.
-    NetFrameDispatchNs,
-    /// Socket-write latency of one `STATE_REQ` frame.
-    NetFrameStateReqNs,
-    /// Socket-write latency of one `STATE_GRANT` frame.
-    NetFrameStateGrantNs,
-    /// Socket-write latency of one `STATE_RET` frame.
-    NetFrameStateRetNs,
-    /// Socket-write latency of one `RESULT` frame.
-    NetFrameExchangeResultNs,
-    /// Socket-write latency of one `NODE_FREE` frame.
-    NetFrameNodeFreeNs,
-    /// Socket-write latency of one `ADVANCE` frame.
-    NetFrameAdvanceNs,
-    /// Socket-write latency of one `PUBLISH_OK` frame.
-    NetFramePublishOkNs,
-    /// Socket-write latency of one `DONE` frame.
-    NetFrameDoneNs,
-    /// Socket-write latency of one `STATS` frame.
-    NetFrameStatsNs,
-    /// Socket-write latency of one `SUBSCRIBE` frame.
-    NetFrameSubscribeNs,
-    /// Socket-write latency of one `UNSUBSCRIBE` frame.
-    NetFrameUnsubscribeNs,
-    /// Socket-write latency of one `PUBLISH` frame.
-    NetFramePublishNs,
-    /// Socket-write latency of one `DELIVER` frame.
-    NetFrameDeliverNs,
-    /// One broker service-loop batch: drain the inbound queues, expire
-    /// due deadlines, apply subscribe/unsubscribe, match the publish
-    /// run, enqueue deliveries (`bsub-net` broker).
-    BrokerBatchNs,
-    /// One epoch's A-merge derivation phase in the sharded scale
-    /// engine (phase A, per shard).
-    ScaleDeriveNs,
-    /// One epoch's cross-shard merge phase (phase B, per shard).
-    ScaleMergeNs,
-    /// One epoch's query phase (phase C, per shard).
-    ScaleQueryNs,
-    /// One epoch's decay phase (phase D, per shard).
-    ScaleDecayNs,
-}
-
-impl TimeHist {
-    /// Every timing histogram, in stable report order.
-    pub const ALL: [TimeHist; 28] = [
-        TimeHist::MergeNs,
-        TimeHist::DecayNs,
-        TimeHist::PreferenceNs,
-        TimeHist::EncodeNs,
-        TimeHist::DecodeNs,
-        TimeHist::ContactNs,
-        TimeHist::NetExchangeNs,
-        TimeHist::MatchBatchNs,
-        TimeHist::NetFrameHelloNs,
-        TimeHist::NetFrameDispatchNs,
-        TimeHist::NetFrameStateReqNs,
-        TimeHist::NetFrameStateGrantNs,
-        TimeHist::NetFrameStateRetNs,
-        TimeHist::NetFrameExchangeResultNs,
-        TimeHist::NetFrameNodeFreeNs,
-        TimeHist::NetFrameAdvanceNs,
-        TimeHist::NetFramePublishOkNs,
-        TimeHist::NetFrameDoneNs,
-        TimeHist::NetFrameStatsNs,
-        TimeHist::NetFrameSubscribeNs,
-        TimeHist::NetFrameUnsubscribeNs,
-        TimeHist::NetFramePublishNs,
-        TimeHist::NetFrameDeliverNs,
-        TimeHist::BrokerBatchNs,
-        TimeHist::ScaleDeriveNs,
-        TimeHist::ScaleMergeNs,
-        TimeHist::ScaleQueryNs,
-        TimeHist::ScaleDecayNs,
-    ];
-
-    /// Stable snake-case name used in JSON and tables.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TimeHist::MergeNs => "tcbf_merge_ns",
-            TimeHist::DecayNs => "tcbf_decay_ns",
-            TimeHist::PreferenceNs => "tcbf_preference_ns",
-            TimeHist::EncodeNs => "wire_encode_ns",
-            TimeHist::DecodeNs => "wire_decode_ns",
-            TimeHist::ContactNs => "contact_ns",
-            TimeHist::NetExchangeNs => "net_exchange_ns",
-            TimeHist::MatchBatchNs => "match_batch_ns",
-            TimeHist::NetFrameHelloNs => "net_frame_hello_ns",
-            TimeHist::NetFrameDispatchNs => "net_frame_dispatch_ns",
-            TimeHist::NetFrameStateReqNs => "net_frame_state_req_ns",
-            TimeHist::NetFrameStateGrantNs => "net_frame_state_grant_ns",
-            TimeHist::NetFrameStateRetNs => "net_frame_state_ret_ns",
-            TimeHist::NetFrameExchangeResultNs => "net_frame_exchange_result_ns",
-            TimeHist::NetFrameNodeFreeNs => "net_frame_node_free_ns",
-            TimeHist::NetFrameAdvanceNs => "net_frame_advance_ns",
-            TimeHist::NetFramePublishOkNs => "net_frame_publish_ok_ns",
-            TimeHist::NetFrameDoneNs => "net_frame_done_ns",
-            TimeHist::NetFrameStatsNs => "net_frame_stats_ns",
-            TimeHist::NetFrameSubscribeNs => "net_frame_subscribe_ns",
-            TimeHist::NetFrameUnsubscribeNs => "net_frame_unsubscribe_ns",
-            TimeHist::NetFramePublishNs => "net_frame_publish_ns",
-            TimeHist::NetFrameDeliverNs => "net_frame_deliver_ns",
-            TimeHist::BrokerBatchNs => "broker_batch_ns",
-            TimeHist::ScaleDeriveNs => "scale_derive_ns",
-            TimeHist::ScaleMergeNs => "scale_merge_ns",
-            TimeHist::ScaleQueryNs => "scale_query_ns",
-            TimeHist::ScaleDecayNs => "scale_decay_ns",
-        }
-    }
-}
-
-/// Size histograms (bytes), recorded with [`observe`]. Deterministic,
-/// unlike [`TimeHist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum SizeHist {
-    /// Encoded size of each control filter put on the wire.
-    EncodedFilterBytes,
-    /// Total bytes (control + data) moved per contact.
-    ContactBytes,
-    /// Events per batched `match_events` call (`bsub-match`).
-    MatchBatchEvents,
-    /// Exact confirmations attempted per batched `match_events` call
-    /// (`bsub-match`) — how much work tier pruning let through.
-    MatchBatchCandidates,
-    /// Encoded size (header + body) of each `HELLO` frame written to a
-    /// socket (`bsub-net`). The per-frame-kind families are recorded
-    /// on the send side only, so a cluster-wide merge counts each
-    /// frame exactly once.
-    NetFrameHelloBytes,
-    /// Encoded size of each `DISPATCH` frame written.
-    NetFrameDispatchBytes,
-    /// Encoded size of each `STATE_REQ` frame written.
-    NetFrameStateReqBytes,
-    /// Encoded size of each `STATE_GRANT` frame written.
-    NetFrameStateGrantBytes,
-    /// Encoded size of each `STATE_RET` frame written.
-    NetFrameStateRetBytes,
-    /// Encoded size of each `RESULT` frame written.
-    NetFrameExchangeResultBytes,
-    /// Encoded size of each `NODE_FREE` frame written.
-    NetFrameNodeFreeBytes,
-    /// Encoded size of each `ADVANCE` frame written.
-    NetFrameAdvanceBytes,
-    /// Encoded size of each `PUBLISH_OK` frame written.
-    NetFramePublishOkBytes,
-    /// Encoded size of each `DONE` frame written.
-    NetFrameDoneBytes,
-    /// Encoded size of each `STATS` frame written.
-    NetFrameStatsBytes,
-    /// Encoded size of each `SUBSCRIBE` frame written.
-    NetFrameSubscribeBytes,
-    /// Encoded size of each `UNSUBSCRIBE` frame written.
-    NetFrameUnsubscribeBytes,
-    /// Encoded size of each `PUBLISH` frame written.
-    NetFramePublishBytes,
-    /// Encoded size of each `DELIVER` frame written.
-    NetFrameDeliverBytes,
-    /// Operations (subscribes + unsubscribes + publishes) applied per
-    /// broker service-loop batch (`bsub-net` broker).
-    BrokerBatchOps,
-}
-
-impl SizeHist {
-    /// Every size histogram, in stable report order.
-    pub const ALL: [SizeHist; 20] = [
-        SizeHist::EncodedFilterBytes,
-        SizeHist::ContactBytes,
-        SizeHist::MatchBatchEvents,
-        SizeHist::MatchBatchCandidates,
-        SizeHist::NetFrameHelloBytes,
-        SizeHist::NetFrameDispatchBytes,
-        SizeHist::NetFrameStateReqBytes,
-        SizeHist::NetFrameStateGrantBytes,
-        SizeHist::NetFrameStateRetBytes,
-        SizeHist::NetFrameExchangeResultBytes,
-        SizeHist::NetFrameNodeFreeBytes,
-        SizeHist::NetFrameAdvanceBytes,
-        SizeHist::NetFramePublishOkBytes,
-        SizeHist::NetFrameDoneBytes,
-        SizeHist::NetFrameStatsBytes,
-        SizeHist::NetFrameSubscribeBytes,
-        SizeHist::NetFrameUnsubscribeBytes,
-        SizeHist::NetFramePublishBytes,
-        SizeHist::NetFrameDeliverBytes,
-        SizeHist::BrokerBatchOps,
-    ];
-
-    /// Stable snake-case name used in JSON and tables.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SizeHist::EncodedFilterBytes => "encoded_filter_bytes",
-            SizeHist::ContactBytes => "contact_bytes",
-            SizeHist::MatchBatchEvents => "match_batch_events",
-            SizeHist::MatchBatchCandidates => "match_batch_candidates",
-            SizeHist::NetFrameHelloBytes => "net_frame_hello_bytes",
-            SizeHist::NetFrameDispatchBytes => "net_frame_dispatch_bytes",
-            SizeHist::NetFrameStateReqBytes => "net_frame_state_req_bytes",
-            SizeHist::NetFrameStateGrantBytes => "net_frame_state_grant_bytes",
-            SizeHist::NetFrameStateRetBytes => "net_frame_state_ret_bytes",
-            SizeHist::NetFrameExchangeResultBytes => "net_frame_exchange_result_bytes",
-            SizeHist::NetFrameNodeFreeBytes => "net_frame_node_free_bytes",
-            SizeHist::NetFrameAdvanceBytes => "net_frame_advance_bytes",
-            SizeHist::NetFramePublishOkBytes => "net_frame_publish_ok_bytes",
-            SizeHist::NetFrameDoneBytes => "net_frame_done_bytes",
-            SizeHist::NetFrameStatsBytes => "net_frame_stats_bytes",
-            SizeHist::NetFrameSubscribeBytes => "net_frame_subscribe_bytes",
-            SizeHist::NetFrameUnsubscribeBytes => "net_frame_unsubscribe_bytes",
-            SizeHist::NetFramePublishBytes => "net_frame_publish_bytes",
-            SizeHist::NetFrameDeliverBytes => "net_frame_deliver_bytes",
-            SizeHist::BrokerBatchOps => "broker_batch_ops",
-        }
-    }
-}
-
-/// The per-thread metric store. Fixed arrays indexed by the enums
-/// above; recording is an index plus a saturating add.
-#[derive(Debug, Clone)]
-pub(crate) struct Profiler {
-    pub(crate) counters: [u64; Counter::ALL.len()],
-    pub(crate) gauge_cur: [u64; Gauge::ALL.len()],
-    pub(crate) gauge_hwm: [u64; Gauge::ALL.len()],
-    pub(crate) time_hists: [Histogram; TimeHist::ALL.len()],
-    pub(crate) size_hists: [Histogram; SizeHist::ALL.len()],
-}
-
-impl Profiler {
-    fn new() -> Self {
-        Self {
-            counters: [0; Counter::ALL.len()],
-            gauge_cur: [0; Gauge::ALL.len()],
-            gauge_hwm: [0; Gauge::ALL.len()],
-            time_hists: std::array::from_fn(|_| Histogram::new()),
-            size_hists: std::array::from_fn(|_| Histogram::new()),
-        }
+metrics! {
+    /// Size histograms (bytes), recorded with [`observe`]. Deterministic,
+    /// unlike [`TimeHist`].
+    pub enum SizeHist {
+        /// Encoded size of each control filter put on the wire.
+        EncodedFilterBytes => "encoded_filter_bytes",
+        /// Total bytes (control + data) moved per contact.
+        ContactBytes => "contact_bytes",
+        /// Events per batched `match_events` call (`bsub-match`).
+        MatchBatchEvents => "match_batch_events",
+        /// Exact confirmations attempted per batched `match_events` call
+        /// (`bsub-match`) — how much work tier pruning let through.
+        MatchBatchCandidates => "match_batch_candidates",
+        /// Encoded size (header + body) of each `HELLO` frame written to a
+        /// socket (`bsub-net`). The per-frame-kind families are recorded
+        /// on the send side only, so a cluster-wide merge counts each
+        /// frame exactly once. Like the timing block, this block is in
+        /// `FrameKind` order (`bsub_net::frame_size_hist`).
+        NetFrameHelloBytes => "net_frame_hello_bytes",
+        /// Encoded size of each `DISPATCH` frame written.
+        NetFrameDispatchBytes => "net_frame_dispatch_bytes",
+        /// Encoded size of each `STATE_REQ` frame written.
+        NetFrameStateReqBytes => "net_frame_state_req_bytes",
+        /// Encoded size of each `STATE_GRANT` frame written.
+        NetFrameStateGrantBytes => "net_frame_state_grant_bytes",
+        /// Encoded size of each `STATE_RET` frame written.
+        NetFrameStateRetBytes => "net_frame_state_ret_bytes",
+        /// Encoded size of each `RESULT` frame written.
+        NetFrameExchangeResultBytes => "net_frame_exchange_result_bytes",
+        /// Encoded size of each `NODE_FREE` frame written.
+        NetFrameNodeFreeBytes => "net_frame_node_free_bytes",
+        /// Encoded size of each `ADVANCE` frame written.
+        NetFrameAdvanceBytes => "net_frame_advance_bytes",
+        /// Encoded size of each `PUBLISH_OK` frame written.
+        NetFramePublishOkBytes => "net_frame_publish_ok_bytes",
+        /// Encoded size of each `DONE` frame written.
+        NetFrameDoneBytes => "net_frame_done_bytes",
+        /// Encoded size of each `STATS` frame written.
+        NetFrameStatsBytes => "net_frame_stats_bytes",
+        /// Encoded size of each `SUBSCRIBE` frame written.
+        NetFrameSubscribeBytes => "net_frame_subscribe_bytes",
+        /// Encoded size of each `UNSUBSCRIBE` frame written.
+        NetFrameUnsubscribeBytes => "net_frame_unsubscribe_bytes",
+        /// Encoded size of each `PUBLISH` frame written.
+        NetFramePublishBytes => "net_frame_publish_bytes",
+        /// Encoded size of each `DELIVER` frame written.
+        NetFrameDeliverBytes => "net_frame_deliver_bytes",
+        /// Operations (subscribes + unsubscribes + publishes) applied per
+        /// broker service-loop batch (`bsub-net` broker).
+        BrokerBatchOps => "broker_batch_ops",
     }
 }
 
@@ -542,14 +322,17 @@ thread_local! {
     /// Fast active flag: the only cost instrumentation pays when
     /// profiling is off is reading this cell.
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static PROFILER: RefCell<Option<Profiler>> = const { RefCell::new(None) };
+    /// The per-thread metric store: a plain [`ProfReport`], so the
+    /// thread-local profiler and every cross-thread sink record
+    /// through the same code.
+    static PROFILER: RefCell<Option<ProfReport>> = const { RefCell::new(None) };
 }
 
 /// Installs a fresh profiler on the current thread, discarding any
 /// previous one. Until [`finish`] is called, instrumentation on this
 /// thread records into it.
 pub fn start() {
-    PROFILER.with(|p| *p.borrow_mut() = Some(Profiler::new()));
+    PROFILER.with(|p| *p.borrow_mut() = Some(ProfReport::default()));
     ACTIVE.with(|a| a.set(true));
 }
 
@@ -557,10 +340,7 @@ pub fn start() {
 /// collected. Returns an empty report if [`start`] was never called.
 pub fn finish() -> ProfReport {
     ACTIVE.with(|a| a.set(false));
-    PROFILER
-        .with(|p| p.borrow_mut().take())
-        .map(|prof| ProfReport::from_profiler(&prof))
-        .unwrap_or_default()
+    PROFILER.with(|p| p.borrow_mut().take()).unwrap_or_default()
 }
 
 /// Merges a finished [`ProfReport`] into the profiler active on this
@@ -574,7 +354,7 @@ pub fn finish() -> ProfReport {
 /// the orchestrator absorbs the per-shard reports (in deterministic
 /// shard order) into the run-level profiler.
 pub fn absorb(report: &ProfReport) {
-    with_profiler(|p| report.merge_into(p));
+    with_profiler(|p| p.merge(report));
 }
 
 /// Whether a profiler is installed on this thread. Instrumentation
@@ -586,7 +366,7 @@ pub fn is_active() -> bool {
     ACTIVE.with(Cell::get)
 }
 
-fn with_profiler(f: impl FnOnce(&mut Profiler)) {
+fn with_profiler(f: impl FnOnce(&mut ProfReport)) {
     if !is_active() {
         return;
     }
@@ -600,45 +380,20 @@ fn with_profiler(f: impl FnOnce(&mut Profiler)) {
 /// Adds `n` to a counter (saturating). Free when inactive.
 #[inline]
 pub fn count(c: Counter, n: u64) {
-    with_profiler(|p| {
-        let slot = &mut p.counters[c as usize];
-        *slot = slot.saturating_add(n);
-    });
+    with_profiler(|p| p.add_counter(c, n));
 }
 
-/// Raises a gauge by `n`, updating its high-water mark.
-#[inline]
-pub fn gauge_add(g: Gauge, n: u64) {
-    with_profiler(|p| {
-        let i = g as usize;
-        p.gauge_cur[i] = p.gauge_cur[i].saturating_add(n);
-        p.gauge_hwm[i] = p.gauge_hwm[i].max(p.gauge_cur[i]);
-    });
-}
-
-/// Lowers a gauge by `n` (saturating at zero).
-#[inline]
-pub fn gauge_sub(g: Gauge, n: u64) {
-    with_profiler(|p| {
-        let i = g as usize;
-        p.gauge_cur[i] = p.gauge_cur[i].saturating_sub(n);
-    });
-}
-
-/// Sets a gauge to an absolute level, updating its high-water mark.
+/// Reports a gauge's current level; the report keeps the high-water
+/// mark, so a level below the mark leaves it unchanged.
 #[inline]
 pub fn gauge_set(g: Gauge, level: u64) {
-    with_profiler(|p| {
-        let i = g as usize;
-        p.gauge_cur[i] = level;
-        p.gauge_hwm[i] = p.gauge_hwm[i].max(level);
-    });
+    with_profiler(|p| p.raise_gauge(g, level));
 }
 
 /// Records a sample into a size histogram. Free when inactive.
 #[inline]
 pub fn observe(h: SizeHist, value: u64) {
-    with_profiler(|p| p.size_hists[h as usize].record(value));
+    with_profiler(|p| p.record_size(h, value));
 }
 
 /// Records an externally measured duration into a timing histogram —
@@ -647,7 +402,7 @@ pub fn observe(h: SizeHist, value: u64) {
 /// inactive.
 #[inline]
 pub fn observe_ns(h: TimeHist, ns: u64) {
-    with_profiler(|p| p.time_hists[h as usize].record(ns));
+    with_profiler(|p| p.record_time(h, ns));
 }
 
 /// A scoped timing guard returned by [`span`]: measures wall-clock
@@ -677,7 +432,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(started) = self.started.take() {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            with_profiler(|p| p.time_hists[self.hist as usize].record(ns));
+            observe_ns(self.hist, ns);
         }
     }
 }
@@ -690,7 +445,7 @@ mod tests {
     fn inactive_thread_records_nothing() {
         // No start(): everything is a no-op and finish() is empty.
         count(Counter::TcbfInsert, 5);
-        gauge_add(Gauge::BufferMsgs, 3);
+        gauge_set(Gauge::BufferMsgs, 3);
         observe(SizeHist::ContactBytes, 100);
         drop(span(TimeHist::ContactNs));
         assert!(!is_active());
@@ -725,10 +480,17 @@ mod tests {
         start();
         count(Counter::TcbfAMerge, 3);
         gauge_set(Gauge::BufferMsgs, 4);
+        gauge_set(Gauge::BufferBytes, 9);
+        gauge_set(Gauge::BufferBytes, 2);
         absorb(&shard);
         let merged = finish();
         assert_eq!(merged.counter(Counter::TcbfAMerge), 5);
         assert_eq!(merged.gauge(Gauge::BufferMsgs), 5, "hwm takes the max");
+        assert_eq!(
+            merged.gauge(Gauge::BufferBytes),
+            9,
+            "a level below the mark keeps the mark"
+        );
         assert_eq!(merged.size_hist(SizeHist::ContactBytes).count(), 1);
 
         // Without an active profiler, absorb is a no-op.
@@ -742,25 +504,6 @@ mod tests {
         count(Counter::DataBytes, u64::MAX);
         count(Counter::DataBytes, u64::MAX);
         assert_eq!(finish().counter(Counter::DataBytes), u64::MAX);
-    }
-
-    #[test]
-    fn gauges_track_high_water() {
-        start();
-        gauge_add(Gauge::BufferMsgs, 4);
-        gauge_add(Gauge::BufferMsgs, 3);
-        gauge_sub(Gauge::BufferMsgs, 6);
-        gauge_add(Gauge::BufferMsgs, 1);
-        let report = finish();
-        assert_eq!(report.gauge(Gauge::BufferMsgs), 7);
-    }
-
-    #[test]
-    fn gauge_sub_saturates_at_zero() {
-        start();
-        gauge_sub(Gauge::BufferBytes, 10);
-        gauge_add(Gauge::BufferBytes, 2);
-        assert_eq!(finish().gauge(Gauge::BufferBytes), 2);
     }
 
     #[test]

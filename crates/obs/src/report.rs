@@ -4,7 +4,7 @@
 
 use crate::hist::{take_u16, take_u64, take_u8, Histogram};
 use crate::json::json_string;
-use crate::profiler::{Counter, Gauge, Profiler, SizeHist, TimeHist};
+use crate::profiler::{Counter, Gauge, SizeHist, TimeHist};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -37,15 +37,6 @@ impl Default for ProfReport {
 impl ProfReport {
     /// Version byte leading every wire-encoded report (DESIGN.md §15).
     pub const WIRE_VERSION: u8 = 1;
-
-    pub(crate) fn from_profiler(p: &Profiler) -> Self {
-        Self {
-            counters: p.counters,
-            gauges: p.gauge_hwm,
-            time_hists: p.time_hists.clone(),
-            size_hists: p.size_hists.clone(),
-        }
-    }
 
     /// Value of a counter.
     #[must_use]
@@ -99,28 +90,10 @@ impl ProfReport {
         }
     }
 
-    /// Merges this report into a live [`Profiler`] with the same
-    /// semantics as [`ProfReport::merge`] — the thread-local side of
-    /// [`crate::absorb`].
-    pub(crate) fn merge_into(&self, p: &mut Profiler) {
-        for (a, b) in p.counters.iter_mut().zip(&self.counters) {
-            *a = a.saturating_add(*b);
-        }
-        for (a, b) in p.gauge_hwm.iter_mut().zip(&self.gauges) {
-            *a = (*a).max(*b);
-        }
-        for (a, b) in p.time_hists.iter_mut().zip(&self.time_hists) {
-            a.merge(b);
-        }
-        for (a, b) in p.size_hists.iter_mut().zip(&self.size_hists) {
-            a.merge(b);
-        }
-    }
-
     /// Adds `n` to a counter directly on this report (saturating) —
-    /// the recording path for aggregation sinks that cannot use the
-    /// thread-local profiler, such as `bsub-net`'s socket threads,
-    /// which outlive any one profiled run.
+    /// the recording path of the thread-local profiler and of
+    /// cross-thread sinks such as `bsub-net`'s socket threads, which
+    /// outlive any one profiled run.
     pub fn add_counter(&mut self, c: Counter, n: u64) {
         let slot = &mut self.counters[c as usize];
         *slot = slot.saturating_add(n);
