@@ -31,7 +31,7 @@
 //! `HOST:PORT` or `unix:PATH`). `--worker --dir D --peer N
 //! --workers W --publishes P --keys K` is the internal client mode.
 
-use bsub_bench::output::{render_table, results_dir, write_csv};
+use bsub_bench::output::{arg_value, percentile_us, render_table, results_dir, write_csv};
 use bsub_bench::perf::{self, PerfEntry, Tolerance};
 use bsub_net::{
     frame_time_hist, BrokerClient, BrokerConfig, BrokerNode, EndpointAddr, FrameKind, PeerConfig,
@@ -56,12 +56,6 @@ const GO: &str = "::go";
 
 fn topic(i: u64) -> String {
     format!("bench-{i}")
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 fn numeric(args: &[String], key: &str, default: u64) -> u64 {
@@ -89,14 +83,6 @@ fn parse_stats_addr(raw: &str) -> EndpointAddr {
 
 fn broker_addr(dir: &Path) -> EndpointAddr {
     EndpointAddr::Unix(dir.join("broker.sock"))
-}
-
-fn percentile_us(sorted_ns: &[u64], pct: usize) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = (sorted_ns.len() - 1) * pct / 100;
-    sorted_ns[rank] as f64 / 1e3
 }
 
 fn worker_main(args: &[String]) -> ! {
@@ -382,11 +368,7 @@ fn main() {
     println!("[appended {}]", trajectory.display());
 
     if check {
-        let baseline_path = match std::env::var("BSUB_PERF_BASELINE") {
-            Ok(custom) => PathBuf::from(custom),
-            Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
-        };
-        let baseline = perf::load(&baseline_path);
+        let baseline = perf::load(&perf::baseline_path());
         match perf::check(&baseline, &entry, Tolerance::from_env()) {
             Ok(msg) => println!("[perf ok] {msg}"),
             Err(msg) => {

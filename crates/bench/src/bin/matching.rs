@@ -45,7 +45,6 @@ use bsub_bench::perf::{self, PerfEntry, Tolerance};
 use bsub_bloom::rng::SplitMix64;
 use bsub_match::{Event, MatchIndex, MatchParams, ReferenceMatcher};
 use bsub_obs::{self as obs, MetricsReport, ProfReport};
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Master seed for subscriber interests and the event batch.
@@ -227,13 +226,6 @@ fn run_cell(cell: &Cell, prof: bool) -> CellOutcome {
     }
 }
 
-fn baseline_path() -> PathBuf {
-    match std::env::var("BSUB_PERF_BASELINE") {
-        Ok(custom) => PathBuf::from(custom),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -379,7 +371,7 @@ fn main() {
     println!("[appended {}]", trajectory.display());
 
     if check {
-        let baseline = perf::load(&baseline_path());
+        let baseline = perf::load(&perf::baseline_path());
         match perf::check(&baseline, &entry, Tolerance::from_env()) {
             Ok(note) => println!("[perf check] {note}"),
             Err(err) => {

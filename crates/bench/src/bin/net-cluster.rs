@@ -46,7 +46,7 @@
 //! mode.
 
 use bsub_bench::experiments::{smoke_environment, smoke_protocols};
-use bsub_bench::output::{render_table, results_dir, write_csv};
+use bsub_bench::output::{arg_value, percentile_us, render_table, results_dir, write_csv};
 use bsub_bench::perf::{self, PerfEntry, Tolerance};
 use bsub_bench::{Experiment, MASTER_SEED};
 use bsub_net::{
@@ -56,7 +56,7 @@ use bsub_net::{
 use bsub_obs::calibrate_ns;
 use bsub_sim::{ProtocolFactory, SimConfig, SimReport};
 use bsub_traces::SimDuration;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
@@ -116,20 +116,6 @@ fn report_row(report: &SimReport) -> Vec<String> {
         report.injections.to_string(),
         report.false_injections.to_string(),
     ]
-}
-
-fn percentile_us(sorted_ns: &[u64], pct: usize) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = (sorted_ns.len() - 1) * pct / 100;
-    sorted_ns[rank] as f64 / 1e3
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 /// STATS delta cadence from `--stats-cadence-ms` (default 100 ms);
@@ -416,11 +402,7 @@ fn main() {
     println!("[appended {}]", trajectory.display());
 
     if check {
-        let baseline_path = match std::env::var("BSUB_PERF_BASELINE") {
-            Ok(custom) => PathBuf::from(custom),
-            Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
-        };
-        let baseline = perf::load(&baseline_path);
+        let baseline = perf::load(&perf::baseline_path());
         match perf::check(&baseline, &entry, Tolerance::from_env()) {
             Ok(msg) => println!("[perf ok] {msg}"),
             Err(msg) => {

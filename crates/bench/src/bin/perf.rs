@@ -19,14 +19,6 @@ use bsub_bench::engine::{Executor, SweepSpec};
 use bsub_bench::output::{record_perf, results_dir};
 use bsub_bench::perf::{self, Tolerance};
 use bsub_bench::{experiments, Experiment, MASTER_SEED};
-use std::path::{Path, PathBuf};
-
-fn baseline_path() -> PathBuf {
-    match std::env::var("BSUB_PERF_BASELINE") {
-        Ok(custom) => PathBuf::from(custom),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -45,7 +37,7 @@ fn main() {
         ]
     };
 
-    let baseline = perf::load(&baseline_path());
+    let baseline = perf::load(&perf::baseline_path());
     let tolerance = Tolerance::from_env();
     let mut failures = 0usize;
     for mut spec in specs {
@@ -84,7 +76,7 @@ fn main() {
     if failures > 0 {
         eprintln!(
             "{failures} perf regression(s) against {}",
-            baseline_path().display()
+            perf::baseline_path().display()
         );
         std::process::exit(1);
     }

@@ -80,7 +80,6 @@ use bsub_bloom::{Lane4, LaneTcbf, SparseTcbf};
 use bsub_obs::{self as obs, Counter, MetricsReport, ProfReport, TimeHist};
 use bsub_traces::synthetic::ContactStream;
 use bsub_traces::SimDuration;
-use std::path::{Path, PathBuf};
 use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
 
@@ -453,9 +452,8 @@ fn run_cell(cell: &Cell, shards: usize, prof: bool) -> CellOutcome {
         }
     }
     let combined = prof.then(|| {
-        // Re-aggregate the per-shard profiles exactly as a sharded
-        // simulation does: absorb into a fresh run-level profiler in
-        // deterministic shard order.
+        // Re-aggregate the per-shard profiles: absorb into a fresh
+        // run-level profiler in deterministic shard order.
         obs::start();
         for o in &outcomes {
             obs::absorb(o.prof.as_ref().expect("profiled worker returns a report"));
@@ -501,13 +499,6 @@ fn peak_rss_kb() -> u64 {
                 .and_then(|v| v.parse().ok())
         })
         .unwrap_or(0)
-}
-
-fn baseline_path() -> PathBuf {
-    match std::env::var("BSUB_PERF_BASELINE") {
-        Ok(custom) => PathBuf::from(custom),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
-    }
 }
 
 fn parse_shards(args: &[String]) -> usize {
@@ -722,7 +713,7 @@ fn main() {
     println!("[appended {}]", trajectory.display());
 
     if check {
-        let baseline = perf::load(&baseline_path());
+        let baseline = perf::load(&perf::baseline_path());
         let mut failed = false;
         for e in std::iter::once(&entry)
             .chain(&sweep_entries)

@@ -103,12 +103,6 @@ pub struct SweepSpec {
     /// Master seed; run `i` executes with
     /// `SplitMix64::mix(master_seed, i)`.
     pub master_seed: u64,
-    /// Intra-run shard count applied to every run (values ≤ 1 mean
-    /// serial). Orthogonal to the worker pool: workers parallelize
-    /// *across* runs, shards *within* one. The sharded core produces
-    /// reports identical to the serial path, so — like the worker
-    /// count — this knob never changes the figure artifacts.
-    pub shards: usize,
     /// The runs, in output order.
     pub runs: Vec<RunSpec>,
 }
@@ -249,8 +243,6 @@ impl Executor {
                     }
                     let run = &spec.runs[index];
                     let seed = SplitMix64::mix(spec.master_seed, index as u64);
-                    // Cheap: a Simulation clone only bumps `Arc`s.
-                    let sim = run.sim.clone().with_shards(spec.shards.max(1));
                     let run_started = Instant::now();
                     // A run executes entirely on this worker thread, so
                     // the thread-local profiler scopes exactly one run.
@@ -263,8 +255,9 @@ impl Executor {
                             series: run.record.series.map(TimeSeriesRecorder::new),
                         };
                         let (report, protocol) =
-                            sim.run_factory_recorded(run.factory.as_ref(), seed, &mut recorder);
-                        let end = sim.trace().duration();
+                            run.sim
+                                .run_factory_recorded(run.factory.as_ref(), seed, &mut recorder);
+                        let end = run.sim.trace().duration();
                         let recording = RunRecording {
                             events: recorder.events,
                             series: recorder
@@ -274,7 +267,7 @@ impl Executor {
                         };
                         (report, protocol, Some(recording))
                     } else {
-                        let (report, protocol) = sim.run_factory(run.factory.as_ref(), seed);
+                        let (report, protocol) = run.sim.run_factory(run.factory.as_ref(), seed);
                         (report, protocol, None)
                     };
                     let prof = run.record.prof.then(obs::finish);
@@ -346,7 +339,6 @@ mod tests {
         SweepSpec {
             name: "tiny".into(),
             master_seed: 42,
-            shards: 1,
             runs: (0..runs)
                 .map(|i| RunSpec {
                     point: i.to_string(),

@@ -130,7 +130,6 @@ pub fn ttl_sweep_spec(figure: &str, experiment: &Experiment) -> SweepSpec {
     SweepSpec {
         name: figure.to_string(),
         master_seed: MASTER_SEED,
-        shards: 1,
         runs,
     }
 }
@@ -220,7 +219,6 @@ pub fn df_sweep_spec(haggle: &Experiment, reality: &Experiment) -> SweepSpec {
     SweepSpec {
         name: "fig9".to_string(),
         master_seed: MASTER_SEED,
-        shards: 1,
         runs,
     }
 }
@@ -323,7 +321,6 @@ pub fn perf_smoke_spec() -> SweepSpec {
     SweepSpec {
         name: "perf_smoke".to_string(),
         master_seed: MASTER_SEED,
-        shards: 1,
         runs: protocols
             .into_iter()
             .map(|(label, kind)| RunSpec {
@@ -365,7 +362,6 @@ pub fn dynamics_spec(experiment: &Experiment, ttl: SimDuration, bucket: SimDurat
     SweepSpec {
         name: "dynamics".to_string(),
         master_seed: MASTER_SEED,
-        shards: 1,
         runs: vec![
             RunSpec {
                 point: "fig7".to_string(),
@@ -501,7 +497,6 @@ pub fn ablation() {
     let spec = SweepSpec {
         name: "ablation".to_string(),
         master_seed: MASTER_SEED,
-        shards: 1,
         runs: variants
             .iter()
             .map(|(name, config)| RunSpec {
@@ -616,7 +611,6 @@ pub fn degradation_spec(experiment: &Experiment, ttl: SimDuration) -> SweepSpec 
     SweepSpec {
         name: "degradation".to_string(),
         master_seed: MASTER_SEED,
-        shards: 1,
         runs,
     }
 }

@@ -1,5 +1,6 @@
 //! Table, CSV, and perf-trajectory output helpers for the experiment
-//! binaries.
+//! binaries, plus the small argument and percentile helpers they
+//! share.
 //!
 //! Figure CSVs must stay byte-identical across executor worker counts
 //! (see `engine`'s determinism contract), so wall-clock data never
@@ -167,6 +168,25 @@ pub fn f1(x: f64) -> String {
 #[must_use]
 pub fn f4(x: f64) -> String {
     format!("{x:.4}")
+}
+
+/// The `pct`-th percentile (nearest rank, rounding down) of ascending
+/// nanosecond samples, in microseconds; `0.0` when there are none.
+#[must_use]
+pub fn percentile_us(sorted_ns: &[u64], pct: usize) -> f64 {
+    if sorted_ns.is_empty() {
+        return 0.0;
+    }
+    let rank = (sorted_ns.len() - 1) * pct / 100;
+    sorted_ns[rank] as f64 / 1e3
+}
+
+/// The argument following the first `key` in `args`, if any.
+#[must_use]
+pub fn arg_value(args: &[String], key: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == key)
+        .and_then(|i| args.get(i + 1).cloned())
 }
 
 #[cfg(test)]

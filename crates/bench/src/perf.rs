@@ -18,7 +18,7 @@ use crate::engine::SweepOutcome;
 use bsub_obs::calibrate_ns;
 use bsub_obs::json::{json_f64, json_string};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Default multiplier on the baseline's median normalized CPU time
 /// before a run counts as a timing regression. Wide enough to absorb
@@ -30,6 +30,16 @@ pub const DEFAULT_TIME_TOLERANCE: f64 = 1.6;
 /// count. Bytes moved are seed-deterministic, so drift here means the
 /// protocol's behavior changed, not the machine.
 pub const DEFAULT_BYTES_TOLERANCE: f64 = 1.25;
+
+/// The committed perf trajectory `results/BENCH_perf.json`, or the
+/// file named by `BSUB_PERF_BASELINE` when that is set.
+#[must_use]
+pub fn baseline_path() -> PathBuf {
+    match std::env::var("BSUB_PERF_BASELINE") {
+        Ok(custom) => PathBuf::from(custom),
+        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_perf.json"),
+    }
+}
 
 /// One sweep's perf summary, as persisted in `BENCH_perf.json`.
 #[derive(Debug, Clone, PartialEq)]

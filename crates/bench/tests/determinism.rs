@@ -1,9 +1,9 @@
 //! The executor's determinism contract, end to end: for fig7- and
 //! fig9-shaped sweeps, the records (reports, seeds, labels — and
 //! therefore any CSV rendered from them) are bit-identical whether
-//! the sweep runs on 1, 2, or 8 workers — and, since the sharded
-//! simulation core landed, for any intra-run shard count crossed with
-//! any worker count.
+//! the sweep runs on 1, 2, or 8 workers. The same holds for faulted
+//! sweeps and for recorded and profiled figure artifacts (CSV, event
+//! streams, deterministic profile counters), with profiling on or off.
 
 use bsub_bench::engine::{Executor, RecordSpec, RunSpec, SweepOutcome, SweepSpec};
 use bsub_bench::{Experiment, ProtocolKind};
@@ -12,12 +12,6 @@ use bsub_obs::ProfReport;
 use bsub_traces::SimDuration;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
-
-fn with_shards(mut spec: SweepSpec, shards: usize) -> SweepSpec {
-    spec.shards = shards;
-    spec
-}
 
 fn tiny(name: &str, seed: u64) -> Experiment {
     let trace =
@@ -58,7 +52,6 @@ fn fig7_shaped() -> SweepSpec {
     SweepSpec {
         name: "fig7-shaped".into(),
         master_seed: 7,
-        shards: 1,
         runs,
     }
 }
@@ -88,7 +81,6 @@ fn fig9_shaped() -> SweepSpec {
     SweepSpec {
         name: "fig9-shaped".into(),
         master_seed: 9,
-        shards: 1,
         runs,
     }
 }
@@ -156,7 +148,6 @@ fn fault_matrix_shaped() -> SweepSpec {
     SweepSpec {
         name: "fault-matrix".into(),
         master_seed: 13,
-        shards: 1,
         runs,
     }
 }
@@ -164,50 +155,6 @@ fn fault_matrix_shaped() -> SweepSpec {
 #[test]
 fn fig7_shaped_sweep_is_worker_count_invariant() {
     assert_identical_across_workers(fig7_shaped);
-}
-
-/// The tentpole contract: reports are bit-identical across the full
-/// worker-count × shard-count matrix, for plain, fig9-shaped, and
-/// fully faulted sweeps. The `shards = 1` column doubles as the
-/// pre-refactor serial reference (it takes the unsharded code path).
-#[test]
-fn sweeps_are_invariant_across_worker_shard_matrix() {
-    for build in [
-        fig7_shaped as fn() -> SweepSpec,
-        fig9_shaped,
-        fault_matrix_shaped,
-    ] {
-        let baseline = fingerprint(&Executor::with_workers(1).run(&build()));
-        assert!(!baseline.is_empty());
-        for workers in WORKER_COUNTS {
-            for shards in SHARD_COUNTS {
-                let outcome = Executor::with_workers(workers).run(&with_shards(build(), shards));
-                assert_eq!(
-                    fingerprint(&outcome),
-                    baseline,
-                    "{} must be bit-identical (workers={workers}, shards={shards})",
-                    outcome.name,
-                );
-            }
-        }
-    }
-}
-
-/// Property: cross-shard exchanges drain in whatever order the OS
-/// scheduler wakes the shard threads, yet results never vary —
-/// repeated executions of the most contended configuration (8 workers
-/// × 7 shards on a 14-node trace) fingerprint identically.
-#[test]
-fn sharded_drain_order_is_schedule_independent() {
-    let spec = || with_shards(fig9_shaped(), 7);
-    let baseline = fingerprint(&Executor::with_workers(8).run(&spec()));
-    for round in 0..3 {
-        assert_eq!(
-            fingerprint(&Executor::with_workers(8).run(&spec())),
-            baseline,
-            "round {round} diverged: shard drain order leaked into results"
-        );
-    }
 }
 
 /// Faulted runs obey the same contract as fault-free ones: the whole
@@ -255,7 +202,6 @@ fn none_spec_matches_unfaulted_runs() {
     let plain = Executor::with_workers(2).run(&SweepSpec {
         name: "no-faults".into(),
         master_seed: 13,
-        shards: 1,
         runs: runs.into(),
     });
     let expected: Vec<_> = plain
@@ -264,24 +210,6 @@ fn none_spec_matches_unfaulted_runs() {
         .map(|r| format!("{}|{}|{:?}", r.label, r.seed, r.report))
         .collect();
     assert_eq!(faultless, expected);
-
-    // Fault draws are keyed by the spec's own stream and the node id,
-    // never by which shard a node landed on — so the equivalence (and
-    // the whole faulted matrix) holds identically under sharded
-    // execution at any shard count.
-    for shards in [2, 7] {
-        let sharded = Executor::with_workers(2).run(&with_shards(fault_matrix_shaped(), shards));
-        let sharded_faultless: Vec<_> = sharded
-            .records
-            .iter()
-            .take(3)
-            .map(|r| format!("{}|{}|{:?}", r.label, r.seed, r.report))
-            .collect();
-        assert_eq!(
-            sharded_faultless, expected,
-            "fault draws must be shard-placement-independent (shards={shards})"
-        );
-    }
 }
 
 #[test]
@@ -303,7 +231,6 @@ fn recorded_pair() -> SweepSpec {
     SweepSpec {
         name: "recorded-pair".into(),
         master_seed: 11,
-        shards: 1,
         runs: vec![
             RunSpec {
                 point: "silent".into(),
@@ -385,14 +312,9 @@ fn fig7_shaped_recorded(prof: bool) -> SweepSpec {
 /// Renders the figure CSV text exactly as `experiments::ttl_sweep`
 /// writes it, plus the concatenated event JSONL streams and any
 /// per-run profiling reports.
-fn figure_artifacts(
-    workers: usize,
-    prof: bool,
-    shards: usize,
-) -> (String, String, Vec<ProfReport>) {
+fn figure_artifacts(workers: usize, prof: bool) -> (String, String, Vec<ProfReport>) {
     use bsub_bench::output::{f1, f3};
-    let outcome =
-        Executor::with_workers(workers).run(&with_shards(fig7_shaped_recorded(prof), shards));
+    let outcome = Executor::with_workers(workers).run(&fig7_shaped_recorded(prof));
     let mut csv = String::from(
         "ttl_mins,push_delivery,bsub_delivery,pull_delivery,push_delay_min,\
          bsub_delay_min,pull_delay_min,push_fwd,bsub_fwd,pull_fwd\n",
@@ -441,54 +363,29 @@ fn figure_artifacts(
     (csv, events, profs)
 }
 
-/// The profiler is a pure observer: figure CSVs and TraceEvent
-/// streams are byte-identical with metrics enabled or disabled, at 1,
-/// 2, and 8 workers.
+/// Recorded artifacts with the profiler attached: figure CSVs,
+/// TraceEvent streams, and the deterministic portion of per-run
+/// ProfReports are identical at 1, 2, and 8 workers.
 #[test]
-fn profiling_does_not_perturb_figure_artifacts() {
-    let (baseline_csv, baseline_events, _) = figure_artifacts(1, false, 1);
-    assert!(baseline_csv.lines().count() > 1);
-    assert!(!baseline_events.is_empty());
-    for workers in WORKER_COUNTS {
-        for prof in [false, true] {
-            let (csv, events, _) = figure_artifacts(workers, prof, 1);
-            assert_eq!(
-                csv, baseline_csv,
-                "figure CSV must be byte-identical (workers={workers}, prof={prof})"
-            );
-            assert_eq!(
-                events, baseline_events,
-                "event stream must be byte-identical (workers={workers}, prof={prof})"
-            );
-        }
-    }
-}
-
-/// The full matrix over recorded artifacts: figure CSVs, TraceEvent
-/// streams, and the deterministic portion of per-run ProfReports are
-/// identical at every (workers × shards) combination.
-#[test]
-fn figure_artifacts_are_shard_invariant() {
-    let (baseline_csv, baseline_events, baseline_profs) = figure_artifacts(1, true, 1);
+fn figure_artifacts_are_worker_count_invariant() {
+    let (baseline_csv, baseline_events, baseline_profs) = figure_artifacts(1, true);
     assert!(!baseline_profs.is_empty());
     for workers in WORKER_COUNTS {
-        for shards in SHARD_COUNTS {
-            let (csv, events, profs) = figure_artifacts(workers, true, shards);
-            assert_eq!(
-                csv, baseline_csv,
-                "figure CSV must be byte-identical (workers={workers}, shards={shards})"
+        let (csv, events, profs) = figure_artifacts(workers, true);
+        assert_eq!(
+            csv, baseline_csv,
+            "figure CSV must be byte-identical (workers={workers})"
+        );
+        assert_eq!(
+            events, baseline_events,
+            "event stream must be byte-identical (workers={workers})"
+        );
+        assert_eq!(profs.len(), baseline_profs.len());
+        for (i, (a, b)) in profs.iter().zip(&baseline_profs).enumerate() {
+            assert!(
+                a.eq_deterministic(b),
+                "run {i}: deterministic profile drifted (workers={workers})"
             );
-            assert_eq!(
-                events, baseline_events,
-                "event stream must be byte-identical (workers={workers}, shards={shards})"
-            );
-            assert_eq!(profs.len(), baseline_profs.len());
-            for (i, (a, b)) in profs.iter().zip(&baseline_profs).enumerate() {
-                assert!(
-                    a.eq_deterministic(b),
-                    "run {i}: deterministic profile drifted (workers={workers}, shards={shards})"
-                );
-            }
         }
     }
 }
@@ -496,33 +393,29 @@ fn figure_artifacts_are_shard_invariant() {
 /// The live observability plane's standing invariant (DESIGN.md §15):
 /// the profiler that feeds it — the same per-contact reports workers
 /// ship as `STATS` deltas — is a pure observer. With the plane on or
-/// off, figure CSVs and TraceEvent streams are byte-identical across
-/// the full worker × shard matrix the plane ships under.
+/// off, figure CSVs and TraceEvent streams are byte-identical at 1, 2,
+/// and 8 workers.
 #[test]
 fn observability_plane_on_off_artifacts_are_byte_identical() {
-    let (baseline_csv, baseline_events, _) = figure_artifacts(1, false, 1);
+    let (baseline_csv, baseline_events, _) = figure_artifacts(1, false);
     assert!(baseline_csv.lines().count() > 1);
     assert!(!baseline_events.is_empty());
-    for workers in [1usize, 2, 8] {
-        for shards in [1usize, 4] {
-            for plane_on in [false, true] {
-                let (csv, events, profs) = figure_artifacts(workers, plane_on, shards);
-                assert_eq!(
-                    csv, baseline_csv,
-                    "figure CSV must not see the plane (workers={workers}, \
-                     shards={shards}, plane_on={plane_on})"
-                );
-                assert_eq!(
-                    events, baseline_events,
-                    "event stream must not see the plane (workers={workers}, \
-                     shards={shards}, plane_on={plane_on})"
-                );
-                assert_eq!(
-                    !profs.is_empty(),
-                    plane_on,
-                    "reports exist exactly when the plane is on"
-                );
-            }
+    for workers in WORKER_COUNTS {
+        for plane_on in [false, true] {
+            let (csv, events, profs) = figure_artifacts(workers, plane_on);
+            assert_eq!(
+                csv, baseline_csv,
+                "figure CSV must not see the plane (workers={workers}, plane_on={plane_on})"
+            );
+            assert_eq!(
+                events, baseline_events,
+                "event stream must not see the plane (workers={workers}, plane_on={plane_on})"
+            );
+            assert_eq!(
+                !profs.is_empty(),
+                plane_on,
+                "reports exist exactly when the plane is on"
+            );
         }
     }
 }

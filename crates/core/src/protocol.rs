@@ -795,40 +795,9 @@ impl Protocol for BsubProtocol {
         nodes[node.index()].reset_volatile(config, now);
     }
 
-    /// B-SUB satisfies the partitioned-ownership contract: all mutable
-    /// state lives in per-node `NodeState`s and every hook touches
-    /// only the nodes it is handed. (The whole-network snapshot and
-    /// occupancy walks are observer-gated and never run on the sharded
-    /// path, which requires an inactive recorder and profiler.)
-    fn shard_fork(&self) -> Option<Box<dyn Protocol>> {
-        Some(Box::new(Self {
-            config: self.config.clone(),
-            nodes: Vec::new(),
-            occupancy_probe: 0,
-        }))
-    }
-
-    fn take_node(&mut self, node: NodeId) -> Option<Box<dyn std::any::Any + Send>> {
-        let slot = self.nodes.get_mut(node.index())?;
-        let placeholder = NodeState::new(&self.config, &[]);
-        Some(Box::new(std::mem::replace(slot, placeholder)))
-    }
-
-    fn put_node(&mut self, node: NodeId, state: Box<dyn std::any::Any + Send>) {
-        let state = *state
-            .downcast::<NodeState>()
-            .expect("a checked-out B-SUB node state");
-        if self.nodes.len() <= node.index() {
-            let config = &self.config;
-            self.nodes
-                .resize_with(node.index() + 1, || NodeState::new(config, &[]));
-        }
-        self.nodes[node.index()] = state;
-    }
-
-    /// Serializes `node`'s full state for cross-process shipping (the
-    /// networked runtime's analogue of [`Protocol::take_node`]); see
-    /// the `snapshot` module for the format and exactness contract.
+    /// Serializes `node`'s full state for cross-process shipping by the
+    /// networked runtime; see the `snapshot` module for the format and
+    /// exactness contract.
     fn export_node(&self, node: NodeId) -> Option<Vec<u8>> {
         let state = self.nodes.get(node.index())?;
         Some(crate::snapshot::encode_node(state))
@@ -1574,106 +1543,6 @@ mod tests {
             Role::Broker,
             "the role survives the restart"
         );
-    }
-
-    /// Node state survives a fork → take → put round trip, including
-    /// roles and carried cargo.
-    #[test]
-    fn shard_checkout_round_trip_preserves_state() {
-        use bsub_sim::Protocol as _;
-        let trace = ContactTrace::new(
-            "rt",
-            4,
-            vec![contact(2, 3, 100, 300), contact(0, 3, 500, 700)],
-        )
-        .unwrap();
-        let mut subs = SubscriptionTable::new(4);
-        subs.subscribe(NodeId::new(2), "news");
-        let sched = vec![message(10, 0, "news")];
-        let sim = Simulation::new(trace, subs.clone(), sched, SimConfig::default());
-        let mut bsub = BsubProtocol::new(config(), &subs);
-        let _ = sim.run(&mut bsub);
-        assert_eq!(bsub.carried_copies(), 1, "broker 3 holds the copy");
-        let role_before = bsub.role_of(NodeId::new(3));
-
-        let mut fork = bsub.shard_fork().expect("B-SUB shards");
-        let state = bsub.take_node(NodeId::new(3)).expect("take");
-        fork.put_node(NodeId::new(3), state);
-        assert_eq!(bsub.carried_copies(), 0, "placeholder left behind");
-        let state = fork.take_node(NodeId::new(3)).expect("take back");
-        bsub.put_node(NodeId::new(3), state);
-        assert_eq!(bsub.carried_copies(), 1);
-        assert_eq!(bsub.role_of(NodeId::new(3)), role_before);
-    }
-
-    /// The sharded runner reproduces the serial report exactly, on a
-    /// dense trace with elections, relays, and handoffs — and for a
-    /// prime shard count that splits components unevenly.
-    #[test]
-    fn sharded_run_matches_serial_report() {
-        use bsub_traces::synthetic::SyntheticTrace;
-        let trace = SyntheticTrace::new("shardeq", 40, SimDuration::from_hours(24), 4000)
-            .seed(9)
-            .build();
-        let mut subs = SubscriptionTable::new(40);
-        for i in 0..40 {
-            if i % 3 == 0 {
-                subs.subscribe(NodeId::new(i), "news");
-            }
-        }
-        let sched: Vec<GeneratedMessage> = (0..20)
-            .map(|k| message(100 + k * 900, (k % 5) as u32, "news"))
-            .collect();
-        let sim = Simulation::new(trace, subs.clone(), sched, SimConfig::default());
-        let mut serial = BsubProtocol::new(config(), &subs);
-        let expected = sim.run(&mut serial);
-        for shards in [2usize, 3, 7] {
-            let mut bsub = BsubProtocol::new(config(), &subs);
-            let got = sim.clone().with_shards(shards).run(&mut bsub);
-            assert_eq!(got, expected, "S={shards} must match serial");
-            assert_eq!(bsub.broker_count(), serial.broker_count());
-            assert_eq!(bsub.carried_copies(), serial.carried_copies());
-            assert_eq!(bsub.max_relay_counter(), serial.max_relay_counter());
-        }
-    }
-
-    /// Fault draws are shard-placement-independent: churn cells travel
-    /// with their node, loss/truncation/corruption draws are pure
-    /// functions of the contact index — so a fully faulted run is also
-    /// identical for every shard count.
-    #[test]
-    fn sharded_run_matches_serial_under_faults() {
-        use bsub_sim::fault::PPM;
-        use bsub_sim::FaultSpec;
-        use bsub_traces::synthetic::SyntheticTrace;
-        let trace = SyntheticTrace::new("shardfault", 30, SimDuration::from_hours(24), 3000)
-            .seed(4)
-            .build();
-        let mut subs = SubscriptionTable::new(30);
-        for i in 0..30 {
-            if i % 4 == 1 {
-                subs.subscribe(NodeId::new(i), "news");
-            }
-        }
-        let sched: Vec<GeneratedMessage> = (0..15)
-            .map(|k| message(100 + k * 1200, (k % 7) as u32, "news"))
-            .collect();
-        let spec = FaultSpec::none()
-            .with_seed(21)
-            .with_churn(PPM / 5, SimDuration::from_hours(2))
-            .with_contact_loss(PPM / 10)
-            .with_truncation(PPM / 10)
-            .with_corruption(PPM / 10);
-        let sim =
-            Simulation::new(trace, subs.clone(), sched, SimConfig::default()).with_faults(spec);
-        let mut serial = BsubProtocol::new(config(), &subs);
-        let expected = sim.run(&mut serial);
-        assert!(expected.contacts > 0);
-        for shards in [2usize, 5, 7] {
-            let mut bsub = BsubProtocol::new(config(), &subs);
-            let got = sim.clone().with_shards(shards).run(&mut bsub);
-            assert_eq!(got, expected, "faulted S={shards} must match serial");
-        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Cross-process serialization of one node's complete B-SUB state.
 //!
 //! The networked runtime (`bsub-net`) checks node state out to the
-//! worker process that executes a contact and back afterwards, exactly
-//! like the sharded runner does in-process with `take_node`/`put_node`
-//! — except that across a socket the state must travel as
-//! self-contained bytes. This module implements that codec on top of
-//! the shared primitives in [`bsub_sim::snapshot`].
+//! worker process that executes a contact and back afterwards. Across
+//! a socket the state must travel as self-contained bytes; this module
+//! implements that codec (B-SUB's [`Protocol::export_node`] and
+//! [`Protocol::import_node`]) on top of the shared primitives in
+//! [`bsub_sim::snapshot`].
+//!
+//! [`Protocol::export_node`]: bsub_sim::Protocol::export_node
+//! [`Protocol::import_node`]: bsub_sim::Protocol::import_node
 //!
 //! Exactness is the contract: importing an exported snapshot must make
 //! the receiving node behave *identically* to the original — every

@@ -260,8 +260,7 @@ impl WireCorruption {
 
 /// One node's churn bookkeeping: the churn cell it has been checked
 /// through, and whether it still owes a state reset from a downtime it
-/// has not rejoined from yet. `Copy`, so a cell checks out to a shard
-/// worker and back by value.
+/// has not rejoined from yet.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct FaultCell {
     checked: u64,
@@ -287,17 +286,6 @@ impl FaultCell {
     }
 }
 
-/// Mutable access to per-node fault cells — implemented by the serial
-/// runner's dense [`FaultState`] and the sharded runner's checked-out
-/// [`FaultCells`], so the per-contact step function is agnostic to
-/// which execution context it runs on.
-pub(crate) trait FaultAccess {
-    /// See [`FaultCell::advance`].
-    fn advance(&mut self, spec: &FaultSpec, node: NodeId, at: SimTime) -> bool;
-    /// Takes (and clears) the pending reset flag for `node`.
-    fn take_reset(&mut self, node: NodeId) -> bool;
-}
-
 /// Per-run churn bookkeeping for every node, dense by node index.
 #[derive(Debug)]
 pub(crate) struct FaultState {
@@ -311,61 +299,14 @@ impl FaultState {
         }
     }
 
-    /// Copies the cells of `nodes` out for a shard worker. The caller
-    /// must hand the cells back via [`FaultState::import_cells`] —
-    /// until then the primary copies are stale (nobody reads them: the
-    /// owning component runs entirely on the worker).
-    pub(crate) fn export_cells<I>(&self, nodes: I) -> FaultCells
-    where
-        I: IntoIterator<Item = NodeId>,
-    {
-        FaultCells {
-            cells: nodes
-                .into_iter()
-                .map(|n| (n, self.cells[n.index()]))
-                .collect(),
-        }
-    }
-
-    /// Writes checked-out cells back after a shard epoch.
-    pub(crate) fn import_cells(&mut self, cells: FaultCells) {
-        for (node, cell) in cells.cells {
-            self.cells[node.index()] = cell;
-        }
-    }
-}
-
-impl FaultAccess for FaultState {
-    fn advance(&mut self, spec: &FaultSpec, node: NodeId, at: SimTime) -> bool {
+    /// See [`FaultCell::advance`].
+    pub(crate) fn advance(&mut self, spec: &FaultSpec, node: NodeId, at: SimTime) -> bool {
         self.cells[node.index()].advance(spec, node, at)
     }
 
-    fn take_reset(&mut self, node: NodeId) -> bool {
+    /// Takes (and clears) the pending reset flag for `node`.
+    pub(crate) fn take_reset(&mut self, node: NodeId) -> bool {
         std::mem::take(&mut self.cells[node.index()].pending_reset)
-    }
-}
-
-/// A shard worker's checked-out fault cells: exactly the nodes of the
-/// components assigned to the worker for one epoch.
-#[derive(Debug, Default)]
-pub(crate) struct FaultCells {
-    cells: std::collections::HashMap<NodeId, FaultCell>,
-}
-
-impl FaultAccess for FaultCells {
-    fn advance(&mut self, spec: &FaultSpec, node: NodeId, at: SimTime) -> bool {
-        self.cells
-            .get_mut(&node)
-            .expect("every node of a component is checked out with it")
-            .advance(spec, node, at)
-    }
-
-    fn take_reset(&mut self, node: NodeId) -> bool {
-        let cell = self
-            .cells
-            .get_mut(&node)
-            .expect("every node of a component is checked out with it");
-        std::mem::take(&mut cell.pending_reset)
     }
 }
 
@@ -509,42 +450,6 @@ mod tests {
         assert!(!skip.advance(&spec, node, SimTime::from_secs(10)));
         assert!(!skip.advance(&spec, node, SimTime::from_secs(2 * 3600 + 10)));
         assert!(skip.take_reset(node), "cell 1 downtime seen in the scan");
-    }
-
-    /// Advancing a node through a checked-out [`FaultCells`] view and
-    /// importing it back is indistinguishable from advancing the dense
-    /// [`FaultState`] directly.
-    #[test]
-    fn cell_checkout_matches_dense_state() {
-        let period = SimDuration::from_hours(1);
-        let spec = FaultSpec::none().with_seed(5).with_churn(PPM / 2, period);
-        let times: Vec<SimTime> = (0..6).map(|h| SimTime::from_secs(h * 3600 + 10)).collect();
-        let nodes = [NodeId::new(0), NodeId::new(1)];
-
-        let mut dense = FaultState::new(2);
-        let mut dense_log = Vec::new();
-        for &at in &times {
-            for node in nodes {
-                let down = dense.advance(&spec, node, at);
-                let reset = !down && dense.take_reset(node);
-                dense_log.push((down, reset));
-            }
-        }
-
-        let mut primary = FaultState::new(2);
-        let mut split_log = Vec::new();
-        for &at in &times {
-            // One "epoch" per time step: check both nodes out, advance
-            // on the worker view, import back.
-            let mut cells = primary.export_cells(nodes);
-            for node in nodes {
-                let down = cells.advance(&spec, node, at);
-                let reset = !down && cells.take_reset(node);
-                split_log.push((down, reset));
-            }
-            primary.import_cells(cells);
-        }
-        assert_eq!(dense_log, split_log);
     }
 
     #[test]

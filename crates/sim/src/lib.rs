@@ -57,7 +57,6 @@ pub mod metrics;
 pub mod protocols;
 pub mod record;
 mod runner;
-mod shard;
 pub mod snapshot;
 mod subscriptions;
 
@@ -71,5 +70,4 @@ pub use crate::record::{
     TimeSeriesRecorder, TraceEvent,
 };
 pub use crate::runner::{GeneratedMessage, SimConfig, Simulation};
-pub use crate::shard::shard_seed;
 pub use crate::subscriptions::SubscriptionTable;

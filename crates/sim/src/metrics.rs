@@ -45,12 +45,11 @@ pub enum DeliveryOutcome {
 }
 
 /// Per-consumer delivery ledger: which messages this node has already
-/// received, genuinely or falsely. Keeping the dedup state *per node*
-/// (instead of one global pair set) lets the sharded runner check a
-/// node's ledger out to the worker that owns the node for an epoch and
-/// merge it back at the barrier — deliveries only ever target a node
-/// that is resident on the executing context, so per-node ledgers give
-/// exactly the global (message, node) dedup of the serial runner.
+/// received, genuinely or falsely. One ledger per consumer (rather
+/// than one global (message, node) pair set) keeps each dedup set as
+/// small as that node's own deliveries, and gives exactly the global
+/// (message, node) dedup, since a delivery only ever touches the
+/// receiving node's ledger.
 #[derive(Debug, Default)]
 pub(crate) struct NodeLedger {
     delivered: HashSet<MessageId>,
@@ -146,44 +145,6 @@ impl MetricsCollector {
                 return DeliveryOutcome::Duplicate;
             }
             DeliveryOutcome::FalsePositive
-        }
-    }
-
-    /// Moves the ledgers of `nodes` into a fresh collector with zeroed
-    /// scalar tallies — the metrics side of a shard checkout. Nodes
-    /// without a ledger yet simply start one lazily on the other side.
-    pub(crate) fn split_off_nodes<I>(&mut self, nodes: I) -> Self
-    where
-        I: IntoIterator<Item = NodeId>,
-    {
-        let mut split = Self::new();
-        for node in nodes {
-            if let Some(ledger) = self.ledgers.remove(&node) {
-                split.ledgers.insert(node, ledger);
-            }
-        }
-        split
-    }
-
-    /// Merges a shard-local collector back in: scalars add (saturating,
-    /// which is associative and commutative for tallies capped at
-    /// `u64::MAX`), delays sum, and the checked-out ledgers return.
-    /// Ledger sets union, so reabsorbing is exact even if the worker
-    /// lazily created a ledger the primary also holds.
-    pub(crate) fn absorb(&mut self, other: Self) {
-        self.generated = self.generated.saturating_add(other.generated);
-        self.target_pairs = self.target_pairs.saturating_add(other.target_pairs);
-        self.delay_total += other.delay_total;
-        self.forwardings = self.forwardings.saturating_add(other.forwardings);
-        self.control_bytes = self.control_bytes.saturating_add(other.control_bytes);
-        self.data_bytes = self.data_bytes.saturating_add(other.data_bytes);
-        self.contacts = self.contacts.saturating_add(other.contacts);
-        self.injections = self.injections.saturating_add(other.injections);
-        self.false_injections = self.false_injections.saturating_add(other.false_injections);
-        for (node, ledger) in other.ledgers {
-            let mine = self.ledgers.entry(node).or_default();
-            mine.delivered.extend(ledger.delivered);
-            mine.false_delivered.extend(ledger.false_delivered);
         }
     }
 
@@ -566,90 +527,6 @@ mod tests {
         m.on_control(u64::MAX - 10);
         m.on_forwarding(100);
         assert_eq!(m.finish("t").total_bytes(), u64::MAX);
-    }
-
-    /// Checking a node's ledger out, delivering on the split collector,
-    /// and absorbing it back is exactly one collector's view: duplicate
-    /// suppression holds across the checkout boundary.
-    #[test]
-    fn ledger_checkout_preserves_dedup() {
-        let mut primary = MetricsCollector::new();
-        primary.on_generated(2);
-        let message = msg(1, 0, 1000);
-        assert_eq!(
-            primary.on_delivery(&message, NodeId::new(1), SimTime::from_secs(10), true),
-            DeliveryOutcome::Genuine
-        );
-
-        // Check node 1 out to a "worker" collector.
-        let mut worker = primary.split_off_nodes([NodeId::new(1)]);
-        assert_eq!(
-            worker.on_delivery(&message, NodeId::new(1), SimTime::from_secs(20), true),
-            DeliveryOutcome::Duplicate,
-            "the checked-out ledger remembers the earlier delivery"
-        );
-        let other = msg(2, 0, 1000);
-        assert_eq!(
-            worker.on_delivery(&other, NodeId::new(1), SimTime::from_secs(30), true),
-            DeliveryOutcome::Genuine
-        );
-        worker.on_forwarding(50);
-
-        primary.absorb(worker);
-        let r = primary.finish("t");
-        assert_eq!(r.delivered, 2);
-        assert_eq!(r.forwardings, 1);
-        assert_eq!(r.data_bytes, 50);
-        assert_eq!(
-            r.delay_total,
-            SimDuration::from_secs(10) + SimDuration::from_secs(30)
-        );
-    }
-
-    /// Absorbing split-off collectors is order-independent: the merged
-    /// report is identical however worker results are combined.
-    #[test]
-    fn absorb_is_commutative() {
-        let build = |order: [u32; 2]| {
-            let mut primary = MetricsCollector::new();
-            primary.on_generated(3);
-            let mut workers: Vec<MetricsCollector> = order
-                .iter()
-                .map(|&n| primary.split_off_nodes([NodeId::new(n)]))
-                .collect();
-            for (i, w) in workers.iter_mut().enumerate() {
-                let message = msg(i as u64, 0, 1000);
-                let _ = w.on_delivery(&message, NodeId::new(order[i]), SimTime::from_secs(5), true);
-                w.on_control(10 * (i as u64 + 1));
-            }
-            for w in workers {
-                primary.absorb(w);
-            }
-            primary.finish("t")
-        };
-        assert_eq!(build([1, 2]), build([1, 2]));
-        let forward = build([1, 2]);
-        let mut primary = MetricsCollector::new();
-        primary.on_generated(3);
-        let mut w2 = primary.split_off_nodes([NodeId::new(2)]);
-        let mut w1 = primary.split_off_nodes([NodeId::new(1)]);
-        let _ = w1.on_delivery(
-            &msg(0, 0, 1000),
-            NodeId::new(1),
-            SimTime::from_secs(5),
-            true,
-        );
-        w1.on_control(10);
-        let _ = w2.on_delivery(
-            &msg(1, 0, 1000),
-            NodeId::new(2),
-            SimTime::from_secs(5),
-            true,
-        );
-        w2.on_control(20);
-        primary.absorb(w2);
-        primary.absorb(w1);
-        assert_eq!(primary.finish("t"), forward);
     }
 
     /// `absorb_costs` folds only the scalar cost tallies — deliveries,

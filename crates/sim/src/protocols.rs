@@ -238,50 +238,14 @@ pub trait Protocol: std::any::Any + Send {
     /// subscriptions). The default is a no-op for stateless protocols.
     fn on_node_reset(&mut self, _ctx: &mut SimCtx<'_>, _node: NodeId) {}
 
-    /// Sharded-execution capability: builds an *empty sibling* of this
-    /// protocol (same configuration, no node state) for a shard worker
-    /// to run contacts on. Returning `Some` opts the protocol into the
-    /// sharded runner and promises the **partitioned-ownership
-    /// contract**:
-    ///
-    /// - all mutable per-node state is movable through
-    ///   [`Protocol::take_node`] / [`Protocol::put_node`];
-    /// - `on_contact` touches only the two endpoints' states,
-    ///   `on_message` only the producer's, `on_node_reset` only the
-    ///   reset node's — never global mutable state and never another
-    ///   node (global *immutable* configuration is fine);
-    /// - [`SimCtx::deliver`] is only called for the nodes above.
-    ///
-    /// Protocols with genuinely global mutable state (e.g. a shared
-    /// message registry) keep the default `None` and the runner falls
-    /// back to the bit-identical serial path regardless of the
-    /// configured shard count.
-    fn shard_fork(&self) -> Option<Box<dyn Protocol>> {
-        None
-    }
-
-    /// Moves `node`'s state out of this instance (for a checkout to a
-    /// shard sibling), leaving a placeholder behind. `None` when the
-    /// protocol does not support sharding.
-    fn take_node(&mut self, _node: NodeId) -> Option<Box<dyn std::any::Any + Send>> {
-        None
-    }
-
-    /// Re-installs a state previously produced by [`Protocol::take_node`]
-    /// (possibly by a sibling instance of the same concrete type).
-    ///
-    /// The default for non-sharding protocols is a no-op.
-    fn put_node(&mut self, _node: NodeId, _state: Box<dyn std::any::Any + Send>) {}
-
     /// Networked-execution capability: serializes `node`'s complete
     /// per-node state to a portable byte snapshot that a *different
     /// process* running a sibling instance of the same concrete
     /// protocol can absorb via [`Protocol::import_node`].
     ///
-    /// Unlike [`Protocol::take_node`] (an in-process `Box<dyn Any>`
-    /// move), the snapshot must be self-contained bytes: the two
-    /// instances share no heap. `None` means the protocol does not
-    /// support networked state shipping; the default is `None`.
+    /// The snapshot must be self-contained bytes: the two instances
+    /// share no heap. `None` means the protocol does not support
+    /// networked state shipping; the default is `None`.
     ///
     /// The round-trip contract is exactness: importing an exported
     /// snapshot must leave the receiving instance's behavior (every

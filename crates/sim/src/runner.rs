@@ -1,7 +1,7 @@
 //! The simulation runner: merges the contact trace with the message
 //! schedule and drives a [`Protocol`] through both.
 
-use crate::fault::{FaultAccess, FaultSpec, FaultState, PPM};
+use crate::fault::{FaultSpec, FaultState, PPM};
 use crate::link::Link;
 use crate::message::{Message, MessageId};
 use crate::metrics::{MetricsCollector, SimReport};
@@ -64,7 +64,6 @@ pub struct Simulation {
     schedule: Arc<[GeneratedMessage]>,
     config: SimConfig,
     faults: FaultSpec,
-    shards: usize,
 }
 
 impl Simulation {
@@ -103,26 +102,7 @@ impl Simulation {
             schedule,
             config,
             faults: FaultSpec::none(),
-            shards: 1,
         }
-    }
-
-    /// Sets the intra-run shard count. The default (and any value
-    /// ≤ 1) is the serial path. With `shards > 1` and a protocol that
-    /// implements [`Protocol::shard_fork`], unrecorded and unprofiled
-    /// runs execute on the sharded core (`shard` module); the report
-    /// is identical to the serial run's by the partitioned-ownership
-    /// contract, so this is purely a performance knob.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// The configured intra-run shard count (≥ 1).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Attaches a fault model to the run. [`FaultSpec::none`] (the
@@ -192,17 +172,6 @@ impl Simulation {
         protocol: &mut dyn Protocol,
         recorder: &mut dyn Recorder,
     ) -> SimReport {
-        // The sharded core only runs unobserved: recorders and the
-        // profiler see events in execution order, which shard workers
-        // deliberately don't reproduce. The serial fallback keeps
-        // observed runs (and protocols without `shard_fork`)
-        // bit-identical to a shard count of 1.
-        if self.shards > 1 && !recorder.is_active() && !obs::is_active() {
-            if let Some(report) = crate::shard::try_run_sharded(self, protocol, self.shards) {
-                return report;
-            }
-        }
-
         let mut metrics = MetricsCollector::new();
         let mut next_id = 0u64;
         let mut schedule = self.schedule.iter().peekable();
@@ -290,11 +259,9 @@ impl Simulation {
 }
 
 /// One publication step of the driver sequence: builds the message
-/// (`id` is the serial publication counter — in schedule order it is
-/// simply the schedule index), accounts it as generated, and hands it
-/// to the protocol. Shared verbatim by the serial loop and the shard
-/// workers so the two paths cannot drift.
-pub(crate) fn step_publish(
+/// (`id` is its index in the schedule), accounts it as generated, and
+/// hands it to the protocol.
+fn step_publish(
     sim: &Simulation,
     spec: &GeneratedMessage,
     id: u64,
@@ -331,16 +298,16 @@ pub(crate) fn step_publish(
 }
 
 /// One contact step of the driver sequence: fault gating, link budget,
-/// and the protocol's `on_contact`. `fault` abstracts over the serial
-/// runner's dense [`FaultState`] and a shard worker's checked-out
-/// cells; everything else is identical on both paths.
+/// and the protocol's `on_contact`. `fault` holds every node's churn
+/// cell; `faulted` is false exactly when the run's [`FaultSpec`] is
+/// [`FaultSpec::none`], and then `fault` is never touched.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_contact(
+fn step_contact(
     sim: &Simulation,
     index: u64,
     contact: &ContactEvent,
     faulted: bool,
-    fault: &mut dyn FaultAccess,
+    fault: &mut FaultState,
     metrics: &mut MetricsCollector,
     protocol: &mut dyn Protocol,
     recorder: &mut dyn Recorder,
