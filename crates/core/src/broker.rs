@@ -27,9 +27,20 @@ struct Meeting {
 
 /// A node's sliding meeting log and the election statistics derived
 /// from it.
+///
+/// Beside the log it keeps incremental counts, updated by
+/// [`ElectionLog::record`] and [`ElectionLog::prune`], so that
+/// [`ElectionLog::degree`] and [`ElectionLog::brokers_met`] are O(1)
+/// instead of a distinct-peer scan of the whole window.
 #[derive(Debug, Clone, Default)]
 pub struct ElectionLog {
     meetings: VecDeque<Meeting>,
+    /// `(peer, meetings, broker meetings)` for every peer in the
+    /// window, sorted by peer id; a peer leaves when its last meeting
+    /// is pruned.
+    peers: Vec<(NodeId, u32, u32)>,
+    /// Peers whose broker-meeting count is non-zero.
+    brokers: usize,
 }
 
 /// What a user decides about the peer it just met.
@@ -57,7 +68,13 @@ impl ElectionLog {
         let cutoff = SimTime::from_secs(cutoff.as_secs());
         while let Some(front) = self.meetings.front() {
             if front.at < cutoff {
+                let Meeting {
+                    peer,
+                    peer_was_broker,
+                    ..
+                } = *front;
                 self.meetings.pop_front();
+                self.forget(peer, peer_was_broker);
             } else {
                 break;
             }
@@ -79,30 +96,52 @@ impl ElectionLog {
             peer_was_broker,
             peer_degree,
         });
+        let as_broker = u32::from(peer_was_broker);
+        match self.peers.binary_search_by_key(&peer, |e| e.0) {
+            Ok(i) => {
+                let entry = &mut self.peers[i];
+                if entry.2 == 0 && peer_was_broker {
+                    self.brokers += 1;
+                }
+                entry.1 += 1;
+                entry.2 += as_broker;
+            }
+            Err(i) => {
+                self.peers.insert(i, (peer, 1, as_broker));
+                self.brokers += as_broker as usize;
+            }
+        }
+    }
+
+    /// Takes one pruned meeting out of the per-peer counts.
+    fn forget(&mut self, peer: NodeId, peer_was_broker: bool) {
+        let i = self
+            .peers
+            .binary_search_by_key(&peer, |e| e.0)
+            .expect("every logged meeting is counted");
+        let entry = &mut self.peers[i];
+        entry.1 -= 1;
+        if peer_was_broker {
+            entry.2 -= 1;
+            if entry.2 == 0 {
+                self.brokers -= 1;
+            }
+        }
+        if entry.1 == 0 {
+            self.peers.remove(i);
+        }
     }
 
     /// Distinct brokers met within the (already pruned) window.
     #[must_use]
     pub fn brokers_met(&self) -> usize {
-        let mut seen: Vec<NodeId> = Vec::new();
-        for m in &self.meetings {
-            if m.peer_was_broker && !seen.contains(&m.peer) {
-                seen.push(m.peer);
-            }
-        }
-        seen.len()
+        self.brokers
     }
 
     /// This node's degree: distinct peers met within the window.
     #[must_use]
     pub fn degree(&self) -> usize {
-        let mut seen: Vec<NodeId> = Vec::new();
-        for m in &self.meetings {
-            if !seen.contains(&m.peer) {
-                seen.push(m.peer);
-            }
-        }
-        seen.len()
+        self.peers.len()
     }
 
     /// Mean of the last-reported degrees of the distinct brokers in
@@ -272,6 +311,83 @@ mod tests {
             log.record(t(i), NodeId::new(10 + i as u32), false, 1);
         }
         assert_eq!(log.decide(true, 0, 0, 0), ElectionAction::Keep);
+    }
+
+    /// `(degree, brokers_met)` by a distinct-peer scan of the window.
+    fn naive_counts(log: &ElectionLog) -> (usize, usize) {
+        let mut peers: Vec<NodeId> = Vec::new();
+        let mut brokers: Vec<NodeId> = Vec::new();
+        for (_, peer, was_broker, _) in log.meetings() {
+            if !peers.contains(&peer) {
+                peers.push(peer);
+            }
+            if was_broker && !brokers.contains(&peer) {
+                brokers.push(peer);
+            }
+        }
+        (peers.len(), brokers.len())
+    }
+
+    fn assert_counts_exact(log: &ElectionLog, step: usize) {
+        assert_eq!(
+            (log.degree(), log.brokers_met()),
+            naive_counts(log),
+            "step {step}"
+        );
+    }
+
+    /// The incremental counts equal a naive scan after every `record`
+    /// and `prune` of a seeded interleaving, across window-emptying
+    /// prunes and a log rebuilt by replaying `meetings()`.
+    #[test]
+    fn incremental_counts_match_naive_scan() {
+        let mut rng = bsub_bloom::SplitMix64::new(0x5EED_E1EC);
+        let mut log = ElectionLog::new();
+        let mut broker_flag = [false; 20];
+        let mut now = 0u64;
+        let mut emptied = 0;
+        for step in 0..4000 {
+            if rng.below(8) == 0 {
+                // Jumps past the whole window now and then, so some
+                // prunes empty it.
+                now += if rng.below(10) == 0 {
+                    400
+                } else {
+                    rng.below(60)
+                };
+                log.prune(t(now), W);
+                if log.is_empty() {
+                    emptied += 1;
+                }
+            } else {
+                now += rng.below(3);
+                let peer = rng.below_usize(broker_flag.len());
+                if rng.below(4) == 0 {
+                    broker_flag[peer] = !broker_flag[peer];
+                }
+                let degree = rng.below_usize(30);
+                log.record(t(now), NodeId::new(peer as u32), broker_flag[peer], degree);
+            }
+            assert_counts_exact(&log, step);
+
+            if step % 500 == 499 {
+                let mut rebuilt = ElectionLog::new();
+                for (at, peer, was_broker, degree) in log.meetings() {
+                    rebuilt.record(at, peer, was_broker, degree);
+                }
+                assert_counts_exact(&rebuilt, step);
+                assert_eq!(
+                    (rebuilt.degree(), rebuilt.brokers_met()),
+                    (log.degree(), log.brokers_met())
+                );
+                assert!(rebuilt.meetings().eq(log.meetings()));
+                log = rebuilt;
+            }
+        }
+        assert!(emptied > 0, "some prune must empty the window");
+        log.prune(t(now + 10_000), W);
+        assert!(log.is_empty());
+        assert_eq!((log.degree(), log.brokers_met()), (0, 0));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use crate::broker::ElectionLog;
 use crate::config::{BsubConfig, DfMode};
 use crate::df::AdaptiveDf;
-use bsub_bloom::{Decayer, SparseTcbf, Tcbf};
+use bsub_bloom::{BloomFilter, Decayer, SparseTcbf, Tcbf};
+use bsub_match::Probe;
 use bsub_sim::{Message, MessageId};
 use bsub_traces::{NodeId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -25,6 +26,9 @@ pub enum Role {
 #[derive(Debug, Clone)]
 pub(crate) struct Carried {
     pub msg: Arc<Message>,
+    /// The message key's digest pair, copied from the producer's
+    /// [`Produced::probe`] (keys are hashed once per message).
+    pub probe: Probe,
     /// Consumers this copy was already handed to (suppresses repeated
     /// transfers on later meetings; the metrics would dedup anyway,
     /// but re-sending would waste link budget and inflate the
@@ -37,6 +41,9 @@ pub(crate) struct Carried {
 #[derive(Debug, Clone)]
 pub(crate) struct Produced {
     pub msg: Arc<Message>,
+    /// The message key's digest pair, computed once at publish and
+    /// probed against every filter the message meets.
+    pub probe: Probe,
     /// Broker copies still allowed (starts at ℂ; Section V-D: "The
     /// message is removed from the producer's memory after its copy
     /// number reaches the limit").
@@ -233,6 +240,10 @@ pub(crate) struct NodeState {
     /// immutable after construction. Brokers A-merge this on every
     /// meeting, touching only the set counters.
     pub genuine_sparse: SparseTcbf,
+    /// `genuine` with its counters ripped, built once for the same
+    /// reason — what a serving side matches this node's interests
+    /// against in steps 5a/5c.
+    pub genuine_bloom: BloomFilter,
     /// Relay state while (or since last being) a broker; `None` for a
     /// node that was never promoted. Demotion drops it.
     pub relay: Option<RelayState>,
@@ -256,11 +267,13 @@ impl NodeState {
             interests.iter().map(|k| k.as_bytes()),
         );
         let genuine_sparse = genuine.to_sparse();
+        let genuine_bloom = genuine.to_bloom();
         Self {
             role: Role::User,
             election: ElectionLog::new(),
             genuine,
             genuine_sparse,
+            genuine_bloom,
             relay: None,
             store: Vec::new(),
             published: Vec::new(),
@@ -336,6 +349,7 @@ mod tests {
         assert!(!n.is_broker());
         assert!(n.genuine.contains("news"));
         assert!(!n.genuine.contains("sports"));
+        assert_eq!(n.genuine_bloom, n.genuine.to_bloom());
         assert!(n.relay.is_none());
     }
 
@@ -445,12 +459,15 @@ mod tests {
             ttl: SimDuration::from_secs(100),
             producer: NodeId::new(0),
         });
+        let probe = Probe::new(&n.genuine.hasher(), msg.key.as_bytes());
         n.store.push(Carried {
             msg: msg.clone(),
+            probe,
             delivered_to: HashSet::new(),
         });
         n.published.push(Produced {
             msg: msg.clone(),
+            probe,
             copies_left: 3,
             delivered_to: HashSet::new(),
         });
@@ -491,12 +508,15 @@ mod tests {
             ttl: SimDuration::from_secs(100),
             producer: NodeId::new(0),
         });
+        let probe = Probe::new(&n.genuine.hasher(), msg.key.as_bytes());
         n.store.push(Carried {
             msg: msg.clone(),
+            probe,
             delivered_to: HashSet::new(),
         });
         n.published.push(Produced {
             msg,
+            probe,
             copies_left: 3,
             delivered_to: HashSet::new(),
         });

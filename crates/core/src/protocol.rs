@@ -44,7 +44,7 @@ use crate::broker::ElectionAction;
 use crate::config::BsubConfig;
 use crate::node::{Carried, NodeState, Produced, Role};
 use bsub_bloom::wire::{self, CounterMode};
-use bsub_match::ProbeCache;
+use bsub_match::Probe;
 use bsub_obs::{self as obs, Counter, Gauge};
 use bsub_sim::{
     Link, MergeKind, Message, PreferenceValue, Protocol, SimCtx, SubscriptionTable, TraceEvent,
@@ -417,7 +417,6 @@ impl BsubProtocol {
         &mut self,
         ctx: &mut SimCtx<'_>,
         link: &mut Link,
-        probes: &mut ProbeCache,
         src: NodeId,
         dst: NodeId,
         channel: FilterChannel,
@@ -446,21 +445,21 @@ impl BsubProtocol {
                 }
             }
         }
-        let dst_bloom = self.nodes[dst.index()].genuine.to_bloom();
         let now = ctx.now();
+        let (src_state, dst_state) = two(&mut self.nodes, src.index(), dst.index());
+        let dst_bloom = &dst_state.genuine_bloom;
+
+        // Every check below is side-effect-free, so they run cheapest
+        // first: the Bloom test, then expiry and the producer, and the
+        // `delivered_to` set last.
 
         // 5a: direct producer → consumer (not counted as copies).
-        let src_state = &mut self.nodes[src.index()];
         for produced in &mut src_state.published {
             obs::count(Counter::MatchChecked, 1);
-            if produced.msg.is_expired(now)
-                || produced.delivered_to.contains(&dst)
+            if !produced.probe.hits_bloom(dst_bloom)
+                || produced.msg.is_expired(now)
                 || produced.msg.producer == dst
-                || !probes.contains(
-                    produced.msg.id.raw(),
-                    produced.msg.key.as_bytes(),
-                    &dst_bloom,
-                )
+                || produced.delivered_to.contains(&dst)
             {
                 continue;
             }
@@ -475,10 +474,10 @@ impl BsubProtocol {
         // 5c: relayed copies → consumer.
         for carried in &mut src_state.store {
             obs::count(Counter::MatchChecked, 1);
-            if carried.msg.is_expired(now)
-                || carried.delivered_to.contains(&dst)
+            if !carried.probe.hits_bloom(dst_bloom)
+                || carried.msg.is_expired(now)
                 || carried.msg.producer == dst
-                || !probes.contains(carried.msg.id.raw(), carried.msg.key.as_bytes(), &dst_bloom)
+                || carried.delivered_to.contains(&dst)
             {
                 continue;
             }
@@ -500,7 +499,6 @@ impl BsubProtocol {
         &mut self,
         ctx: &mut SimCtx<'_>,
         link: &mut Link,
-        probes: &mut ProbeCache,
         producer: NodeId,
         broker: NodeId,
     ) -> bool {
@@ -546,11 +544,7 @@ impl BsubProtocol {
             if produced.copies_left == 0
                 || produced.msg.is_expired(now)
                 || broker_state.seen.contains(&produced.msg.id)
-                || !probes.contains(
-                    produced.msg.id.raw(),
-                    produced.msg.key.as_bytes(),
-                    &relay_bloom,
-                )
+                || !produced.probe.hits_bloom(&relay_bloom)
             {
                 continue;
             }
@@ -569,6 +563,7 @@ impl BsubProtocol {
             broker_state.seen.insert(produced.msg.id);
             broker_state.store.push(Carried {
                 msg: Arc::clone(&produced.msg),
+                probe: produced.probe,
                 delivered_to: HashSet::new(),
             });
             ctx.record_injection(broker, &produced.msg, fp);
@@ -784,6 +779,7 @@ impl Protocol for BsubProtocol {
         state.seen.insert(msg.id);
         state.published.push(Produced {
             msg: Arc::clone(msg),
+            probe: Probe::new(&state.genuine.hasher(), msg.key.as_bytes()),
             copies_left: self.config.copies,
             delivered_to: HashSet::new(),
         });
@@ -862,13 +858,6 @@ impl Protocol for BsubProtocol {
         // 5a + 5c: serve each side as a consumer. The genuine filter
         // already traveled (with counters) if the serving side is a
         // broker — unless it was corrupted in flight.
-        //
-        // A contact probes the same message against up to two filters
-        // (a genuine bloom in 5a/5c, a relay bloom in 5b); the probe
-        // cache hashes each message key once per contact and replays
-        // the digest pair — the decisions are bit-identical to direct
-        // `contains` calls.
-        let mut probes = ProbeCache::new(self.nodes[a.index()].genuine.hasher());
         let channel = |server_is_broker: bool, arrived: bool| {
             if !server_is_broker {
                 FilterChannel::Pay
@@ -878,18 +867,18 @@ impl Protocol for BsubProtocol {
                 FilterChannel::Corrupted
             }
         };
-        if !self.serve_consumer(ctx, link, &mut probes, a, b, channel(a_is_broker, a_got_b)) {
+        if !self.serve_consumer(ctx, link, a, b, channel(a_is_broker, a_got_b)) {
             return;
         }
-        if !self.serve_consumer(ctx, link, &mut probes, b, a, channel(b_is_broker, b_got_a)) {
+        if !self.serve_consumer(ctx, link, b, a, channel(b_is_broker, b_got_a)) {
             return;
         }
 
         // 5b: producers replicate to brokers.
-        if !self.replicate_to_broker(ctx, link, &mut probes, a, b) {
+        if !self.replicate_to_broker(ctx, link, a, b) {
             return;
         }
-        if !self.replicate_to_broker(ctx, link, &mut probes, b, a) {
+        if !self.replicate_to_broker(ctx, link, b, a) {
             return;
         }
 

@@ -25,7 +25,12 @@
 //!   `(ℕ, DF)` cache travel as exact IEEE-754 bit patterns.
 //! - The genuine filter is *not* shipped: it is a pure function of the
 //!   node's subscriptions (which every process knows) and never
-//!   changes, so the importer keeps its own copy.
+//!   changes, so the importer keeps its own copy (and its ripped
+//!   Bloom view).
+//! - A message's probe (its key's digest pair) is *not* shipped
+//!   either: it is a pure function of the key and the network-wide
+//!   hasher, so the importer recomputes it from its own genuine
+//!   filter's hasher.
 //! - Hash-ordered collections are canonically sorted on export, so
 //!   equal states encode to equal bytes.
 
@@ -34,7 +39,7 @@ use crate::config::{BsubConfig, DfMode};
 use crate::node::{Carried, NodeState, Produced, RelayState, Role};
 use bsub_bloom::wire::{self, CounterMode};
 use bsub_bloom::{Decayer, KeyHasher, Tcbf};
-use bsub_match::{IndexState, MatchIndex, MatchParams, SubscriberState};
+use bsub_match::{IndexState, MatchIndex, MatchParams, Probe, SubscriberState};
 use bsub_sim::snapshot::{SnapReader, SnapWriter};
 use bsub_sim::MessageId;
 use bsub_traces::NodeId;
@@ -242,11 +247,12 @@ pub(crate) fn encode_node(state: &NodeState) -> Vec<u8> {
 }
 
 /// Overwrites everything in `state` except the genuine filter (and its
-/// sparse view) from a snapshot produced by [`encode_node`] under the
-/// same `config`. Returns `false` — leaving `state` untouched — on any
-/// malformed or config-incompatible input.
+/// sparse and Bloom views) from a snapshot produced by [`encode_node`]
+/// under the same `config`. Message probes are recomputed with the
+/// genuine filter's hasher. Returns `false` — leaving `state`
+/// untouched — on any malformed or config-incompatible input.
 pub(crate) fn decode_node_into(state: &mut NodeState, config: &BsubConfig, bytes: &[u8]) -> bool {
-    let Some(parsed) = parse(config, bytes) else {
+    let Some(parsed) = parse(config, &state.genuine.hasher(), bytes) else {
         return false;
     };
     state.role = parsed.role;
@@ -269,7 +275,7 @@ struct Parsed {
     seen: HashSet<MessageId>,
 }
 
-fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
+fn parse(config: &BsubConfig, hasher: &KeyHasher, bytes: &[u8]) -> Option<Parsed> {
     let mut r = SnapReader::new(bytes);
     if r.u8()? != VERSION {
         return None;
@@ -353,17 +359,24 @@ fn parse(config: &BsubConfig, bytes: &[u8]) -> Option<Parsed> {
     let mut store = Vec::new();
     for _ in 0..r.u32()? {
         let msg = Arc::new(r.message()?);
+        let probe = Probe::new(hasher, msg.key.as_bytes());
         let delivered_to = read_node_set(&mut r)?;
-        store.push(Carried { msg, delivered_to });
+        store.push(Carried {
+            msg,
+            probe,
+            delivered_to,
+        });
     }
 
     let mut published = Vec::new();
     for _ in 0..r.u32()? {
         let msg = Arc::new(r.message()?);
+        let probe = Probe::new(hasher, msg.key.as_bytes());
         let copies_left = r.u32()?;
         let delivered_to = read_node_set(&mut r)?;
         published.push(Produced {
             msg,
+            probe,
             copies_left,
             delivered_to,
         });
@@ -416,6 +429,10 @@ mod tests {
     /// component: elections, relays with decay + adaptation, carried
     /// cargo, publications, and seen sets.
     fn worked_protocol() -> (BsubProtocol, SubscriptionTable) {
+        worked_protocol_with(BsubConfig::default())
+    }
+
+    fn worked_protocol_with(config: BsubConfig) -> (BsubProtocol, SubscriptionTable) {
         let trace = SyntheticTrace::new("snap", 16, SimDuration::from_hours(12), 2500)
             .seed(11)
             .build();
@@ -432,7 +449,7 @@ mod tests {
             })
             .collect();
         let sim = Simulation::new(trace, subs.clone(), sched, SimConfig::default());
-        let mut bsub = BsubProtocol::new(BsubConfig::default(), &subs);
+        let mut bsub = BsubProtocol::new(config, &subs);
         let report = sim.run(&mut bsub);
         assert!(report.delivered > 0, "the run must do real work");
         assert!(bsub.broker_count() > 0);
@@ -456,6 +473,39 @@ mod tests {
         assert_eq!(sibling.broker_count(), bsub.broker_count());
         assert_eq!(sibling.carried_copies(), bsub.carried_copies());
         assert_eq!(sibling.max_relay_counter(), bsub.max_relay_counter());
+    }
+
+    /// Probes are not on the wire: import recomputes each one from the
+    /// importer's hasher, and it must equal a fresh hash of the key,
+    /// with the bytes still round-tripping.
+    #[test]
+    fn import_recomputes_exact_probes() {
+        // A copy limit the run never exhausts keeps publications in
+        // the producers' stores beside the carried copies.
+        let config = BsubConfig::builder().copies(1_000).build();
+        let (bsub, subs) = worked_protocol_with(config);
+        let mut sibling = BsubProtocol::new(bsub.config().clone(), &subs);
+        let (mut carried, mut produced) = (0, 0);
+        for i in 0..16 {
+            let node = NodeId::new(i);
+            let snap = bsub.export_node(node).expect("B-SUB exports");
+            assert!(sibling.import_node(node, &snap), "import accepts");
+            assert_eq!(sibling.export_node(node).expect("re-export"), snap);
+
+            let imported = &sibling.nodes_mut()[node.index()];
+            let hasher = imported.genuine.hasher();
+            let probes = imported
+                .store
+                .iter()
+                .map(|c| (&c.msg, c.probe))
+                .chain(imported.published.iter().map(|p| (&p.msg, p.probe)));
+            for (msg, probe) in probes {
+                assert_eq!(probe, Probe::new(&hasher, msg.key.as_bytes()), "node {i}");
+            }
+            carried += imported.store.len();
+            produced += imported.published.len();
+        }
+        assert!(carried > 0 && produced > 0, "both stores must be exercised");
     }
 
     /// The relay filter round-trips losslessly even when counters
