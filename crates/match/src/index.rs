@@ -783,6 +783,7 @@ impl MatchIndex {
 mod tests {
     use super::*;
     use crate::ReferenceMatcher;
+    use bsub_bloom::SplitMix64;
 
     fn small() -> MatchParams {
         MatchParams {
@@ -1061,6 +1062,184 @@ mod tests {
             set.stats.confirmed < set.stats.candidates,
             "signatures must reject some candidates: {:?}",
             set.stats
+        );
+    }
+
+    /// 150-slot tiers: two full 64-slot blocks and a partial third, so
+    /// the pinned scenario below crosses every block boundary.
+    fn pinned() -> MatchParams {
+        MatchParams {
+            member_bits: 1024,
+            member_hashes: 4,
+            initial: 8,
+            tier_size: 150,
+            tier_budget_bytes: 8 * 1024,
+            keys_per_subscriber_hint: 3,
+            compact_ratio: 0.5,
+        }
+    }
+
+    fn pinned_keys(rng: &mut SplitMix64) -> Vec<String> {
+        let n = 1 + rng.next_u64() % 4;
+        (0..n)
+            .map(|_| format!("topic-{}", rng.next_u64() % 48))
+            .collect()
+    }
+
+    /// FNV-1a over the `(tier, id)` sequence of an export.
+    fn order_fingerprint(state: &IndexState) -> u64 {
+        state.subs.iter().fold(0xcbf2_9ce4_8422_2325, |h, s| {
+            [s.tier as u64, s.id]
+                .iter()
+                .fold(h, |h, &v| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3))
+        })
+    }
+
+    fn tier_sizes(state: &IndexState) -> Vec<usize> {
+        let mut sizes = Vec::new();
+        for s in &state.subs {
+            sizes.resize(sizes.len().max(s.tier + 1), 0);
+            sizes[s.tier] += 1;
+        }
+        sizes
+    }
+
+    /// Pins every work count of a seeded churn scenario, so a change to
+    /// the tier layout or the member scan shows as a changed literal:
+    /// bulk load at two epochs, mid-block tombstones (slots 63/64 and
+    /// 127/128 included), a compaction, resubscribes that move members
+    /// into an earlier tier, decay past the first cohort's strength,
+    /// expiry, and a snapshot round trip.
+    #[test]
+    fn pinned_churn_work_counts() {
+        let mut rng = SplitMix64::new(0x5107_1500);
+        let mut idx = MatchIndex::new(pinned());
+        let mut load = |idx: &mut MatchIndex, ids: std::ops::Range<u64>| {
+            let batch: Vec<(u64, Vec<String>)> =
+                ids.map(|id| (id, pinned_keys(&mut rng))).collect();
+            idx.subscribe_bulk(&batch);
+        };
+        load(&mut idx, 0..200);
+        idx.decay(4);
+        load(&mut idx, 200..400);
+        let batch: Vec<Event> = (0..48)
+            .map(|t| Event::new(format!("topic-{t}")))
+            .chain((0..8).map(|i| Event::new(format!("absent-{i}"))))
+            .collect();
+        let stats = |idx: &MatchIndex| {
+            let set = idx.match_events(&batch);
+            assert_eq!(set.stats.matched, set.total() as u64);
+            set.stats
+        };
+        assert_eq!(tier_sizes(&idx.export_state()), [150, 150, 100]);
+        assert_eq!(
+            stats(&idx),
+            MatchStats {
+                events: 56,
+                tier_probes: 168,
+                tier_hits: 144,
+                candidates: 19200,
+                confirmed: 1033,
+                matched: 981
+            }
+        );
+
+        // Tier 0 keeps its tombstones; tier 1 loses every other member
+        // and compacts once on the way.
+        for id in [5, 40, 63, 64, 100, 127, 128, 149] {
+            assert!(idx.unsubscribe(id));
+        }
+        for id in (150..300).step_by(2) {
+            assert!(idx.unsubscribe(id));
+        }
+        assert_eq!(idx.compactions(), 1);
+        assert_eq!(
+            stats(&idx),
+            MatchStats {
+                events: 56,
+                tier_probes: 168,
+                tier_hits: 143,
+                candidates: 15141,
+                confirmed: 813,
+                matched: 776
+            }
+        );
+
+        // Resubscribes land in the first tier with room: tier-2 members
+        // move into tier 0, and fresh ids fill it and spill into tier 1.
+        let mut rng = SplitMix64::new(0x5107_1501);
+        for id in [350, 320, 399, 10] {
+            idx.subscribe(id, &pinned_keys(&mut rng));
+        }
+        for id in 1000..1010 {
+            idx.subscribe(id, &pinned_keys(&mut rng));
+        }
+        assert_eq!(tier_sizes(&idx.export_state()), [150, 80, 97]);
+        assert_eq!(
+            stats(&idx),
+            MatchStats {
+                events: 56,
+                tier_probes: 168,
+                tier_hits: 144,
+                candidates: 15696,
+                confirmed: 839,
+                matched: 804
+            }
+        );
+
+        // Epoch 9: the epoch-0 cohort is fully decayed (still confirmed
+        // by its signature, never matched), the rest holds on.
+        idx.decay(5);
+        assert_eq!(idx.strength(0), Some(0));
+        assert_eq!(idx.strength(251), Some(3));
+        assert_eq!(
+            stats(&idx),
+            MatchStats {
+                events: 56,
+                tier_probes: 168,
+                tier_hits: 116,
+                candidates: 11496,
+                confirmed: 630,
+                matched: 408
+            }
+        );
+
+        // Expiry drops the decayed cohort, compacting tier 0 again and
+        // again; only the late arrivals stay in it.
+        assert_eq!(idx.expire(0), 166);
+        assert_eq!(idx.compactions(), 8);
+        let state = idx.export_state();
+        assert_eq!(tier_sizes(&state), [9, 55, 97]);
+        let tier0: Vec<u64> = state
+            .subs
+            .iter()
+            .filter(|s| s.tier == 0)
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(tier0, [350, 320, 399, 10, 1000, 1001, 1002, 1003, 1004]);
+        assert_eq!(order_fingerprint(&state), 0x12d2_4f8d_6cf5_14dd);
+        let after_expiry = stats(&idx);
+        assert_eq!(
+            after_expiry,
+            MatchStats {
+                events: 56,
+                tier_probes: 168,
+                tier_hits: 113,
+                candidates: 7311,
+                confirmed: 427,
+                matched: 408
+            }
+        );
+
+        // The restored index rebuilds every pool from live members;
+        // here that changes no count.
+        let restored = MatchIndex::from_state(&state);
+        assert_eq!(restored.compactions(), 0);
+        assert_eq!(restored.export_state(), state);
+        assert_eq!(stats(&restored), after_expiry);
+        assert_eq!(
+            restored.match_events(&batch).matches,
+            idx.match_events(&batch).matches
         );
     }
 
