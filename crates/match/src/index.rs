@@ -26,13 +26,18 @@
 //! naive reference scan evaluates — so the index returns *identical*
 //! matches to the reference, Bloom false positives included.
 //!
-//! Between the two sits a **position signature**: each tier keeps, slot
-//! for slot with its member ids, a 64-bit word per member — the OR of
-//! `1 << (p & 63)` over the member's positions. The event's `k`
-//! positions fold into a mask the same way, and a member is confirmed
-//! only when `sig & mask == mask`. The check is exact: if every event
-//! position lies in the member's set, every mask bit is set in its
-//! signature, so it only rejects members the confirmation would reject.
+//! Between the two sits a **position signature**: the OR of
+//! `1 << (p & 63)` over a member's positions. The event's `k` positions
+//! fold into a mask the same way, and a member is confirmed only when
+//! `sig & mask == mask`. The check is exact: if every event position
+//! lies in the member's set, every mask bit is set in its signature, so
+//! it only rejects members the confirmation would reject. Signatures
+//! are stored **bit-sliced**: for each block of 64 slots a tier keeps
+//! 64 plane words, plane `b` holding the slots whose signature has bit
+//! `b`. A block's members passing the check are the AND of the planes
+//! the mask selects — at most `k` word ANDs per 64 members — and only
+//! their set bits reach the exact confirmation, which reads the slot's
+//! birth epoch and positions from arrays the tier keeps slot for slot.
 //!
 //! # The no-false-negative invariant
 //!
@@ -47,10 +52,12 @@
 //! 2. Decay is applied to tiers and members in lock-step, and uniform
 //!    saturating decay commutes with the counterwise maximum, so the
 //!    superset relation survives every epoch.
-//! 3. Unsubscribe and expiry only *remove* members (tombstones); the
-//!    pool temporarily over-approximates, which costs candidate
-//!    probes, never misses. Compaction rebuilds the pool from live
-//!    members at their current strengths.
+//! 3. Unsubscribe and expiry only *remove* members: the member's slot
+//!    becomes a tombstone, cleared from every plane and no longer live,
+//!    while the pool still holds its keys. The pool temporarily
+//!    over-approximates, which costs candidate probes, never misses.
+//!    Compaction drops the dead slots in slot order and rebuilds the
+//!    pool from the survivors at their current strengths.
 //!
 //! Two details are load-bearing, both forced by member-level *false
 //! positives* (which the reference scan reports as matches and the
@@ -80,6 +87,7 @@ use crate::probe::Probe;
 use bsub_bloom::{math, KeyHasher, TcbfPool};
 use bsub_obs::{self as obs, Counter, SizeHist, TimeHist};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One published event, identified by its content key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,29 +219,99 @@ pub struct IndexState {
     pub subs: Vec<SubscriberState>,
 }
 
-/// A subscriber's aggregated state: its keys' digests (for tier
-/// rebuilds), the sorted position union of its member-geometry filter,
-/// and its birth epoch. Counters are uniform `C ∸ (E − born)`.
+/// What the index keeps per subscriber outside its tier: the deadline,
+/// and where its slot is. Everything the matching loop reads — id,
+/// birth epoch, positions, key digests — lives in the tier.
 #[derive(Debug, Clone)]
 struct Subscriber {
-    digests: Vec<(u64, u64)>,
-    positions: Vec<u32>,
-    born: u64,
     deadline: Option<u64>,
     tier: usize,
+    slot: usize,
 }
 
+/// One 64-slot block of a tier's bit-sliced signatures: plane `b`
+/// holds the live slots whose position signature has bit `b` set.
+#[derive(Debug, Clone)]
+struct Block {
+    planes: [u64; 64],
+    /// Live slots of the block.
+    live: u64,
+}
+
+impl Block {
+    const EMPTY: Self = Self {
+        planes: [0; 64],
+        live: 0,
+    };
+}
+
+/// A slot's run `start..start + len` in one of its tier's arenas.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn new(start: usize, end: usize) -> Self {
+        let narrow = |n: usize| u32::try_from(n).expect("tier arena fits u32");
+        Self {
+            start: narrow(start),
+            len: narrow(end - start),
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// Moves this run down to `*end` in `arena` (never past its current
+    /// start), advances `*end` past it, and returns the moved span.
+    fn shift_down<T: Copy>(self, arena: &mut [T], end: &mut usize) -> Self {
+        arena.copy_within(self.range(), *end);
+        let moved = Self::new(*end, *end + self.len as usize);
+        *end += self.len as usize;
+        moved
+    }
+}
+
+/// Upper bound on the slots and arena entries a tier reserves up front,
+/// so an oversized `tier_size` (from a snapshot, say) cannot force a
+/// huge allocation before any member arrives.
+const RESERVE_CAP: usize = 1 << 16;
+
+/// A tier: its aggregate pool plus slot-aligned member data. Members
+/// append at the end; removal only tombstones a slot, and compaction
+/// drops the dead slots in slot order, so slot order is member order.
 #[derive(Debug)]
 struct Tier {
     pool: TcbfPool,
-    members: Vec<u64>,
-    /// Position signature of each member, slot-aligned with `members`.
-    sigs: Vec<u64>,
+    /// Member id of each slot, dead slots included.
+    ids: Vec<u64>,
+    /// Birth epoch of each slot.
+    born: Vec<u64>,
+    /// Each slot's sorted, deduplicated positions in `positions`.
+    position_spans: Vec<Span>,
+    positions: Vec<u32>,
+    /// Each slot's key digests, in subscription order, in `digests`.
+    digest_spans: Vec<Span>,
+    digests: Vec<(u64, u64)>,
+    /// Bit-sliced signatures, one block per 64 slots.
+    blocks: Vec<Block>,
+    live: usize,
+    /// Dead slots, each a removal whose keys the pool still holds.
     tombstones: usize,
 }
 
 impl Tier {
+    /// An empty tier with room reserved for a full complement of
+    /// members, so subscribing does not pay for growth.
     fn new(params: &MatchParams, theta: f64) -> Self {
+        let slots = params.tier_size.min(RESERVE_CAP);
+        let keys = slots
+            .saturating_mul(params.keys_per_subscriber_hint.max(1))
+            .min(RESERVE_CAP);
+        let positions = keys.saturating_mul(params.member_hashes).min(RESERVE_CAP);
         Self {
             pool: TcbfPool::new(
                 params.member_bits,
@@ -241,21 +319,166 @@ impl Tier {
                 params.initial,
                 theta,
             ),
-            members: Vec::new(),
-            sigs: Vec::new(),
+            ids: Vec::with_capacity(slots),
+            born: Vec::with_capacity(slots),
+            position_spans: Vec::with_capacity(slots),
+            positions: Vec::with_capacity(positions),
+            digest_spans: Vec::with_capacity(slots),
+            digests: Vec::with_capacity(keys),
+            blocks: Vec::with_capacity(slots.div_ceil(64)),
+            live: 0,
             tombstones: 0,
         }
     }
 
-    fn push(&mut self, id: u64, positions: &[u32]) {
-        self.members.push(id);
-        self.sigs.push(signature(positions));
+    /// Appends a live member whose positions and digests the caller
+    /// appended to the arenas from `positions_from` and `digests_from`
+    /// on. Sorts and deduplicates the positions in place and returns
+    /// the member's slot.
+    fn push(&mut self, id: u64, born: u64, positions_from: usize, digests_from: usize) -> usize {
+        let tail = &mut self.positions[positions_from..];
+        tail.sort_unstable();
+        let mut len = 0;
+        for read in 0..tail.len() {
+            if len == 0 || tail[read] != tail[len - 1] {
+                tail[len] = tail[read];
+                len += 1;
+            }
+        }
+        self.positions.truncate(positions_from + len);
+        let slot = self.ids.len();
+        self.ids.push(id);
+        self.born.push(born);
+        self.position_spans
+            .push(Span::new(positions_from, self.positions.len()));
+        self.digest_spans
+            .push(Span::new(digests_from, self.digests.len()));
+        self.mark(slot);
+        self.live += 1;
+        slot
+    }
+
+    fn positions_of(&self, slot: usize) -> &[u32] {
+        &self.positions[self.position_spans[slot].range()]
+    }
+
+    fn digests_of(&self, slot: usize) -> &[(u64, u64)] {
+        &self.digests[self.digest_spans[slot].range()]
+    }
+
+    fn is_live(&self, slot: usize) -> bool {
+        self.blocks[slot / 64].live & 1 << (slot % 64) != 0
+    }
+
+    /// Sets `slot`'s live bit and its signature's plane bits.
+    fn mark(&mut self, slot: usize) {
+        if slot / 64 == self.blocks.len() {
+            self.blocks.push(Block::EMPTY);
+        }
+        let bit = 1 << (slot % 64);
+        let mut sig = signature(self.positions_of(slot));
+        let block = &mut self.blocks[slot / 64];
+        block.live |= bit;
+        while sig != 0 {
+            block.planes[sig.trailing_zeros() as usize] |= bit;
+            sig &= sig - 1;
+        }
+    }
+
+    /// Tombstones a live slot: it leaves every plane and stops counting
+    /// as live, but keeps its place until the next compaction.
+    fn kill(&mut self, slot: usize) {
+        let bit = 1 << (slot % 64);
+        let block = &mut self.blocks[slot / 64];
+        block.live &= !bit;
+        for plane in &mut block.planes {
+            *plane &= !bit;
+        }
+        self.live -= 1;
+        self.tombstones += 1;
+    }
+
+    /// Drops the dead slots, moving each survivor down to the next free
+    /// slot in slot order and re-marking the planes.
+    fn drop_dead_slots(&mut self) {
+        if self.live == self.ids.len() {
+            return;
+        }
+        let (mut kept, mut positions, mut digests) = (0, 0, 0);
+        for slot in 0..self.ids.len() {
+            if !self.is_live(slot) {
+                continue;
+            }
+            self.ids[kept] = self.ids[slot];
+            self.born[kept] = self.born[slot];
+            self.position_spans[kept] =
+                self.position_spans[slot].shift_down(&mut self.positions, &mut positions);
+            self.digest_spans[kept] =
+                self.digest_spans[slot].shift_down(&mut self.digests, &mut digests);
+            kept += 1;
+        }
+        self.ids.truncate(kept);
+        self.born.truncate(kept);
+        self.position_spans.truncate(kept);
+        self.positions.truncate(positions);
+        self.digest_spans.truncate(kept);
+        self.digests.truncate(digests);
+        self.blocks.clear();
+        for slot in 0..kept {
+            self.mark(slot);
+        }
+    }
+}
+
+/// Sorts `ids` ascending in place, in near-linear time when most of
+/// them already ascend — as a batch's per-event matches do, gathered
+/// tier by tier from bulk-loaded tiers, with later arrivals appended to
+/// earlier tiers. A right-to-left scan keeps every id no larger than
+/// all ids after it; those form an ascending run, packed at the tail.
+/// The others go to `rest` (scratch), are sorted on their own and
+/// merged back in front of the run.
+fn sort_mostly_ascending(ids: &mut [u64], rest: &mut Vec<u64>) {
+    rest.clear();
+    let mut keep = ids.len();
+    let mut min = u64::MAX;
+    for read in (0..ids.len()).rev() {
+        let id = ids[read];
+        if id <= min {
+            min = id;
+            keep -= 1;
+            ids[keep] = id;
+        } else {
+            rest.push(id);
+        }
+    }
+    rest.sort_unstable();
+    // `rest` fills exactly the `keep` free slots, so the write cursor
+    // never overtakes the unread part of the run.
+    let (mut write, mut run) = (0, keep);
+    for &id in rest.iter() {
+        while run < ids.len() && ids[run] <= id {
+            ids[write] = ids[run];
+            write += 1;
+            run += 1;
+        }
+        ids[write] = id;
+        write += 1;
     }
 }
 
 /// The 64-bit position signature: bit `p mod 64` for every position.
 fn signature(positions: &[u32]) -> u64 {
     positions.iter().fold(0, |sig, &p| sig | 1 << (p & 63))
+}
+
+/// The uniform counter `C ∸ (epoch − born)` of a member born at `born`.
+fn strength(initial: u32, epoch: u64, born: u64) -> u32 {
+    let decayed = epoch - born;
+    if decayed >= u64::from(initial) {
+        0
+    } else {
+        initial - decayed as u32
+    }
 }
 
 /// The broker-level subscription index: tiers of aggregated TCBF pools
@@ -381,12 +604,8 @@ impl MatchIndex {
     }
 
     fn strength_of(&self, sub: &Subscriber) -> u32 {
-        let decayed = self.epoch - sub.born;
-        if decayed >= u64::from(self.params.initial) {
-            0
-        } else {
-            self.params.initial - decayed as u32
-        }
+        let born = self.tiers[sub.tier].born[sub.slot];
+        strength(self.params.initial, self.epoch, born)
     }
 
     /// Subscribes `id` to `keys` with no deadline. An existing
@@ -415,33 +634,28 @@ impl MatchIndex {
             self.remove(id);
         }
         let k = self.params.member_hashes;
-        let mut digests = Vec::with_capacity(keys.len());
-        let mut positions: Vec<u32> = Vec::with_capacity(keys.len() * k);
+        let tier = self.open_tier();
+        let t = &mut self.tiers[tier];
+        let (positions_from, digests_from) = (t.positions.len(), t.digests.len());
         for key in keys {
             let probe = Probe::new(&self.hasher, key.as_ref());
-            digests.push(probe.digests());
-            positions.extend(
+            t.digests.push(probe.digests());
+            t.positions.extend(
                 probe
                     .positions(k, self.params.member_bits)
                     .map(|p| p as u32),
             );
         }
-        positions.sort_unstable();
-        positions.dedup();
-
-        let tier = self.open_tier();
-        self.tiers[tier].push(id, &positions);
-        for &digest in &digests {
-            self.tiers[tier].pool.reinforce(digest, self.params.initial);
+        let slot = t.push(id, self.epoch, positions_from, digests_from);
+        for &digest in &t.digests[digests_from..] {
+            t.pool.reinforce(digest, self.params.initial);
         }
         self.subs.insert(
             id,
             Subscriber {
-                digests,
-                positions,
-                born: self.epoch,
                 deadline,
                 tier,
+                slot,
             },
         );
     }
@@ -449,7 +663,7 @@ impl MatchIndex {
     /// First tier with room, allocating a fresh one when all are full.
     fn open_tier(&mut self) -> usize {
         let mut t = self.open;
-        while t < self.tiers.len() && self.tiers[t].members.len() >= self.params.tier_size {
+        while t < self.tiers.len() && self.tiers[t].live >= self.params.tier_size {
             t += 1;
         }
         if t == self.tiers.len() {
@@ -548,52 +762,52 @@ impl MatchIndex {
         doomed.len()
     }
 
-    /// Shared removal path: tombstones the member and compacts the
-    /// tier when tombstones outweigh `compact_ratio × live`.
+    /// Shared removal path: tombstones the member's slot and compacts
+    /// the tier when tombstones outweigh `compact_ratio × live`.
     fn remove(&mut self, id: u64) {
         let sub = self.subs.remove(&id).expect("caller checked presence");
         let tier = &mut self.tiers[sub.tier];
-        // `Vec::remove`, not `swap_remove`: member order is observable
-        // through `export_state` and the compaction reinforce order.
-        let slot = tier
-            .members
-            .iter()
-            .position(|&m| m == id)
-            .expect("member lives in its tier");
-        tier.members.remove(slot);
-        tier.sigs.remove(slot);
-        tier.tombstones += 1;
+        tier.kill(sub.slot);
         self.open = self.open.min(sub.tier);
-        let live = tier.members.len();
-        if tier.tombstones as f64 > self.params.compact_ratio * live.max(1) as f64 {
+        if tier.tombstones as f64 > self.params.compact_ratio * tier.live.max(1) as f64 {
             self.compact(sub.tier);
         }
     }
 
-    /// Rebuilds a tier pool from its live members at their *current*
-    /// strengths, dropping every tombstoned key (and any pool filter
-    /// the spill history left behind).
+    /// Rebuilds a tier from its live members: drops the dead slots and
+    /// every tombstoned key (and any pool filter the spill history left
+    /// behind).
     fn compact(&mut self, tier: usize) {
         obs::count(Counter::MatchCompact, 1);
         self.compactions += 1;
+        self.rebuild(tier);
+    }
+
+    /// Drops a tier's dead slots, re-slots the survivors in slot order,
+    /// and reinforces a fresh pool from them at their *current*
+    /// strengths — the compaction rebuild, also used by
+    /// [`MatchIndex::from_state`] without counting as a compaction.
+    fn rebuild(&mut self, tier: usize) {
+        let t = &mut self.tiers[tier];
+        t.drop_dead_slots();
         let mut pool = TcbfPool::new(
             self.params.member_bits,
             self.params.member_hashes,
             self.params.initial,
             self.theta,
         );
-        for &id in &self.tiers[tier].members {
-            let sub = &self.subs[&id];
-            let strength = self.strength_of(sub);
+        for (slot, (id, &born)) in t.ids.iter().zip(&t.born).enumerate() {
+            self.subs.get_mut(id).expect("member is subscribed").slot = slot;
+            let strength = strength(self.params.initial, self.epoch, born);
             if strength == 0 {
                 continue;
             }
-            for &digest in &sub.digests {
+            for &digest in t.digests_of(slot) {
                 pool.reinforce(digest, strength);
             }
         }
-        self.tiers[tier].pool = pool;
-        self.tiers[tier].tombstones = 0;
+        t.pool = pool;
+        t.tombstones = 0;
     }
 
     /// Decays every subscription and every tier pool by `amount`
@@ -612,8 +826,9 @@ impl MatchIndex {
     /// Matches a batch of events against every live subscription.
     ///
     /// Each event key is hashed once; candidate tiers are pruned via
-    /// their aggregate pools, and a hit tier's members via their
-    /// position signatures, before the rest are confirmed exactly.
+    /// their aggregate pools, and a hit tier's members via its
+    /// bit-sliced position signatures, before the rest are confirmed
+    /// exactly.
     /// Returns per-event subscriber lists identical to what the naive
     /// per-filter scan ([`crate::ReferenceMatcher`]) produces.
     #[must_use]
@@ -628,8 +843,10 @@ impl MatchIndex {
         // One position set per event: tier pools share the member
         // geometry, so a single probe serves both levels.
         let mut positions: Vec<u32> = Vec::with_capacity(events.len() * k);
+        let mut digests = Vec::with_capacity(events.len());
         for event in events {
             let probe = Probe::new(&self.hasher, event.key.as_bytes());
+            digests.push(probe.digests());
             positions.extend(
                 probe
                     .positions(k, self.params.member_bits)
@@ -637,10 +854,12 @@ impl MatchIndex {
             );
         }
         let masks: Vec<u64> = positions.chunks_exact(k).map(signature).collect();
+        // A member is alive while its strength is positive.
+        let min_born = (self.epoch + 1).saturating_sub(u64::from(self.params.initial));
 
         let mut matches: Vec<Vec<u64>> = vec![Vec::new(); events.len()];
         for tier in &self.tiers {
-            if tier.members.is_empty() {
+            if tier.live == 0 {
                 continue;
             }
             for ei in 0..events.len() {
@@ -660,26 +879,42 @@ impl MatchIndex {
                     continue;
                 }
                 stats.tier_hits += 1;
-                stats.candidates += tier.members.len() as u64;
-                let mask = masks[ei];
-                for (slot, &sig) in tier.sigs.iter().enumerate() {
-                    if sig & mask != mask {
-                        continue;
+                stats.candidates += tier.live as u64;
+                // A block's members passing the signature check are the
+                // AND of the planes the event's mask selects (`k > 0`,
+                // so the mask has at least one bit).
+                for (b, block) in tier.blocks.iter().enumerate() {
+                    let mut mask = masks[ei];
+                    let mut hits = u64::MAX;
+                    while mask != 0 && hits != 0 {
+                        hits &= block.planes[mask.trailing_zeros() as usize];
+                        mask &= mask - 1;
                     }
-                    stats.confirmed += 1;
-                    let id = tier.members[slot];
-                    let sub = &self.subs[&id];
-                    if self.strength_of(sub) > 0
-                        && mp.iter().all(|p| sub.positions.binary_search(p).is_ok())
-                    {
-                        stats.matched += 1;
-                        matches[ei].push(id);
+                    stats.confirmed += u64::from(hits.count_ones());
+                    // Equal digests mean equal positions: a member that
+                    // holds the event's own key matches without a
+                    // position search. Any other candidate (a Bloom
+                    // false positive, or no match) is checked position
+                    // by position.
+                    while hits != 0 {
+                        let slot = b * 64 + hits.trailing_zeros() as usize;
+                        hits &= hits - 1;
+                        if tier.born[slot] >= min_born
+                            && (tier.digests_of(slot).contains(&digests[ei])
+                                || mp
+                                    .iter()
+                                    .all(|p| tier.positions_of(slot).binary_search(p).is_ok()))
+                        {
+                            stats.matched += 1;
+                            matches[ei].push(tier.ids[slot]);
+                        }
                     }
                 }
             }
         }
+        let mut rest = Vec::new();
         for per_event in &mut matches {
-            per_event.sort_unstable();
+            sort_mostly_ascending(per_event, &mut rest);
         }
         obs::count(Counter::MatchEvents, stats.events);
         obs::count(Counter::MatchTierProbes, stats.tier_probes);
@@ -696,13 +931,13 @@ impl MatchIndex {
     pub fn export_state(&self) -> IndexState {
         let mut subs = Vec::with_capacity(self.subs.len());
         for (tier, t) in self.tiers.iter().enumerate() {
-            for &id in &t.members {
-                let sub = &self.subs[&id];
+            for slot in (0..t.ids.len()).filter(|&slot| t.is_live(slot)) {
+                let id = t.ids[slot];
                 subs.push(SubscriberState {
                     id,
-                    digests: sub.digests.clone(),
-                    born: sub.born,
-                    deadline: sub.deadline,
+                    digests: t.digests_of(slot).to_vec(),
+                    born: t.born[slot],
+                    deadline: self.subs[&id].deadline,
                     tier,
                 });
             }
@@ -734,46 +969,33 @@ impl MatchIndex {
         }
         let k = state.params.member_hashes;
         for sub in &state.subs {
-            let mut positions: Vec<u32> = Vec::with_capacity(sub.digests.len() * k);
+            let tier = &mut idx.tiers[sub.tier];
+            let (positions_from, digests_from) = (tier.positions.len(), tier.digests.len());
             for &digest in &sub.digests {
-                positions.extend(
+                tier.positions.extend(
                     KeyHasher::positions_from_digests(digest, k, state.params.member_bits)
                         .map(|p| p as u32),
                 );
             }
-            positions.sort_unstable();
-            positions.dedup();
-            let tier = &mut idx.tiers[sub.tier];
-            tier.push(sub.id, &positions);
+            tier.digests.extend_from_slice(&sub.digests);
+            let slot = tier.push(sub.id, sub.born, positions_from, digests_from);
             assert!(
-                tier.members.len() <= state.params.tier_size,
+                tier.live <= state.params.tier_size,
                 "tier {} overflows tier_size",
                 sub.tier
             );
             let previous = idx.subs.insert(
                 sub.id,
                 Subscriber {
-                    digests: sub.digests.clone(),
-                    positions,
-                    born: sub.born,
                     deadline: sub.deadline,
                     tier: sub.tier,
+                    slot,
                 },
             );
             assert!(previous.is_none(), "duplicate subscriber id {}", sub.id);
         }
         for tier in 0..idx.tiers.len() {
-            let members = idx.tiers[tier].members.clone();
-            for id in members {
-                let strength = idx.strength_of(&idx.subs[&id]);
-                if strength == 0 {
-                    continue;
-                }
-                let digests = idx.subs[&id].digests.clone();
-                for digest in digests {
-                    idx.tiers[tier].pool.reinforce(digest, strength);
-                }
-            }
+            idx.rebuild(tier);
         }
         idx
     }
@@ -1241,6 +1463,31 @@ mod tests {
             restored.match_events(&batch).matches,
             idx.match_events(&batch).matches
         );
+    }
+
+    #[test]
+    fn sort_mostly_ascending_sorts_any_order() {
+        let mut rng = SplitMix64::new(7);
+        let mut rest = Vec::new();
+        let mut cases: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![5],
+            (0..40).collect(),
+            (0..40).rev().collect(),
+            // Bulk runs with late arrivals appended to each, and a small
+            // id last: the scan keeps almost nothing.
+            vec![1, 2, 900, 3, 4, 901, 5, 6, 902, 0],
+            vec![3, 3, 1, 1, 2, 2],
+        ];
+        for len in [2, 7, 64, 300] {
+            cases.push((0..len).map(|_| rng.next_u64() % 50).collect());
+        }
+        for mut ids in cases {
+            let mut want = ids.clone();
+            want.sort_unstable();
+            sort_mostly_ascending(&mut ids, &mut rest);
+            assert_eq!(ids, want);
+        }
     }
 
     #[test]

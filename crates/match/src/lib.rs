@@ -11,7 +11,7 @@
 //!   subscribe/unsubscribe/expire, lock-step decay, tombstone-driven
 //!   compaction, and a batched [`MatchIndex::match_events`] path that
 //!   hashes each event once, prunes candidates through the tier
-//!   hierarchy and a 64-bit per-member position signature, and
+//!   hierarchy and bit-sliced 64-bit per-member position signatures, and
 //!   confirms the survivors exactly per subscriber.
 //! - [`ReferenceMatcher`] — the naive per-filter scan kept in-tree as
 //!   the differential oracle: `tests/differential.rs` drives both

@@ -14,9 +14,10 @@
 //! Geometries are chosen adversarially: tiny filters force hash
 //! collisions and tier-pool false positives, tiny tiers force spills
 //! and compactions, small initial counters force expiry boundaries,
-//! and key-heavy subscribers saturate the 64-bit position signatures
-//! the index prefilters members with. Five geometries × ≥30 seeds
-//! each = 160 seeded interleavings.
+//! key-heavy subscribers saturate the 64-bit position signatures the
+//! index prefilters members with, and 150-slot tiers make the
+//! bit-sliced signature blocks end mid-word. Six geometries × ≥10 seeds
+//! each = 170 seeded interleavings.
 
 use bsub_bloom::{KeyHasher, SplitMix64};
 use bsub_match::{Event, MatchIndex, MatchParams, Probe, ReferenceMatcher};
@@ -77,15 +78,78 @@ struct Coverage {
     aliased: u64,
 }
 
+/// Subscribes `tiers × tier_size` fresh ids in order, so they fill the
+/// first tiers slot by slot, then thins them: every third member of
+/// each odd tier stays (enough tombstones to compact it), while each
+/// even tier loses only its members at slots 63, 64, 127 and 128 (too
+/// few to compact). Checks one batch against the reference after that.
+fn bulk_start(
+    rng: &mut SplitMix64,
+    index: &mut MatchIndex,
+    reference: &mut ReferenceMatcher,
+    ids: &mut Vec<u64>,
+    tiers: usize,
+    keys_per_sub: &RangeInclusive<usize>,
+) {
+    let size = index.params().tier_size;
+    for id in 1..=(tiers * size) as u64 {
+        let keys = draw_keys(rng, keys_per_sub);
+        index.subscribe(id, &keys);
+        reference.subscribe(id, &keys);
+        ids.push(id);
+    }
+    for tier in 0..tiers {
+        let before = index.compactions();
+        for slot in 0..size {
+            let thinned = if tier % 2 == 1 {
+                slot % 3 != 0
+            } else {
+                [63, 64, 127, 128].contains(&slot)
+            };
+            if thinned {
+                let id = (tier * size + slot + 1) as u64;
+                assert!(index.unsubscribe(id) && reference.unsubscribe(id));
+            }
+        }
+        assert_eq!(
+            index.compactions() > before,
+            tier % 2 == 1,
+            "tier {tier}: only the odd tiers compact"
+        );
+    }
+    let batch: Vec<Event> = (0..KEY_POOL as u64).map(key).map(Event::new).collect();
+    assert_eq!(
+        index.match_events(&batch).matches,
+        reference.match_events(&batch).matches,
+        "bulk start: match diverged"
+    );
+}
+
 /// Runs one seeded interleaving, each subscription drawing its key
-/// count from `keys_per_sub`.
-fn drive(seed: u64, params: MatchParams, keys_per_sub: &RangeInclusive<usize>) -> Coverage {
+/// count from `keys_per_sub`, after a [`bulk_start`] over
+/// `preload_tiers` tiers (none when zero).
+fn drive(
+    seed: u64,
+    params: MatchParams,
+    keys_per_sub: &RangeInclusive<usize>,
+    preload_tiers: usize,
+) -> Coverage {
     let mut coverage = Coverage::default();
     let mut rng = SplitMix64::new(seed);
     let mut index = MatchIndex::new(params);
     let mut reference = ReferenceMatcher::from_params(&params);
     let mut ids: Vec<u64> = Vec::new();
-    let mut next_id = 0u64;
+    if preload_tiers > 0 {
+        bulk_start(
+            &mut rng,
+            &mut index,
+            &mut reference,
+            &mut ids,
+            preload_tiers,
+            keys_per_sub,
+        );
+    }
+    let mut next_id = ids.len() as u64;
     let mut now = 0u64;
 
     for step in 0..STEPS {
@@ -175,9 +239,24 @@ fn run_geometry(
     keys_per_sub: RangeInclusive<usize>,
     seeds: std::ops::Range<u64>,
 ) -> Coverage {
+    run_preloaded(name, params, keys_per_sub, seeds, 0)
+}
+
+fn run_preloaded(
+    name: &str,
+    params: MatchParams,
+    keys_per_sub: RangeInclusive<usize>,
+    seeds: std::ops::Range<u64>,
+    preload_tiers: usize,
+) -> Coverage {
     let mut total = Coverage::default();
     for seed in seeds {
-        let one = drive(SplitMix64::mix(0xB50B, seed), params, &keys_per_sub);
+        let one = drive(
+            SplitMix64::mix(0xB50B, seed),
+            params,
+            &keys_per_sub,
+            preload_tiers,
+        );
         total.compactions += one.compactions;
         total.saturated += one.saturated;
         total.aliased += one.aliased;
@@ -294,6 +373,29 @@ fn differential_saturated_signature_geometry() {
     );
 }
 
+#[test]
+fn differential_block_spanning_geometry() {
+    // 150-slot tiers: two full 64-slot signature blocks and a partial
+    // third. The bulk start compacts the odd tiers and leaves the even
+    // ones holding tombstones at the block edges; the interleaving
+    // then churns across all of them.
+    run_preloaded(
+        "block-spanning",
+        MatchParams {
+            member_bits: 1024,
+            member_hashes: 4,
+            initial: 8,
+            tier_size: 150,
+            tier_budget_bytes: 8 * 1024,
+            keys_per_subscriber_hint: 3,
+            compact_ratio: 0.5,
+        },
+        1..=4,
+        0..10,
+        3,
+    );
+}
+
 /// The pruning layer must never hide a match: with aggressive decay
 /// and churn, drive long interleavings on the collision-heavy
 /// geometry and cross-check every single event against the oracle
@@ -301,7 +403,8 @@ fn differential_saturated_signature_geometry() {
 /// interleavings total across the suite).
 #[test]
 fn suite_runs_at_least_100_interleavings() {
-    // 40 + 30 + 30 + 30 + 30 seeded drives run in the five tests above.
-    let total = 40 + 30 + 30 + 30 + 30;
+    // 40 + 30 + 30 + 30 + 30 + 10 seeded drives run in the six tests
+    // above.
+    let total = 40 + 30 + 30 + 30 + 30 + 10;
     assert!(total >= 100);
 }
