@@ -37,7 +37,10 @@
 //! `b`. A block's members passing the check are the AND of the planes
 //! the mask selects — at most `k` word ANDs per 64 members — and only
 //! their set bits reach the exact confirmation, which reads the slot's
-//! birth epoch and positions from arrays the tier keeps slot for slot.
+//! birth epoch, key digests and positions from arrays the tier keeps
+//! slot for slot. A member holding the event's own key (equal digests,
+//! hence equal positions) is confirmed without a position search; any
+//! other candidate is checked position by position.
 //!
 //! # The no-false-negative invariant
 //!
