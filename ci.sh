@@ -142,11 +142,28 @@ if want test; then
 fi
 
 if want perfbench; then
-    stage "perfbench (the benchmark's own tests)"
+    stage "perfbench (the benchmark's own tests, then one checked run per workload)"
     # The repository benchmark (BENCHMARK.json) is a package of its own,
     # outside the workspace, so `cargo test --workspace` never runs its
     # seed, oracle, and metric-table tests.
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    # One short run of every workload through the benchmark's own
+    # command. Each run's last line is its JSON verdict; it must report
+    # the workload's oracle as matched and no failed operation. For
+    # broker_uds that oracle is a ReferenceMatcher replay of every
+    # delivery that crossed the batched socket path.
+    for workload in sim_haggle broker_uds match_churn; do
+        VERDICT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 20100621 --seconds 1 --trace 0 | tail -n 1)"
+        echo "$workload: $VERDICT"
+        case "$VERDICT" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *)
+            echo "perfbench $workload run is not correct or has failed operations" >&2
+            exit 1
+            ;;
+        esac
+    done
 fi
 
 if want fmt; then

@@ -191,7 +191,28 @@ impl Frame {
         header
     }
 
-    /// Writes the frame to `w` (header, then body) and flushes.
+    /// Appends the frame's encoding (header, then body) to `out` — how
+    /// the peer writer coalesces a drained batch into one buffer.
+    ///
+    /// # Errors
+    ///
+    /// Rejects bodies over the kind's bound (4 bytes for HELLO,
+    /// [`MAX_BODY_LEN`] otherwise) with [`io::ErrorKind::InvalidInput`],
+    /// leaving `out` untouched.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        if self.body.len() > self.kind.max_body_len() as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame body exceeds the kind's maximum length",
+            ));
+        }
+        out.extend_from_slice(&self.header());
+        out.extend_from_slice(&self.body);
+        Ok(())
+    }
+
+    /// Writes the frame to `w` with one `write_all` of its whole
+    /// encoding, then flushes.
     ///
     /// # Errors
     ///
@@ -199,14 +220,9 @@ impl Frame {
     /// bytes for HELLO, [`MAX_BODY_LEN`] otherwise) with
     /// [`io::ErrorKind::InvalidInput`] before writing anything.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        if self.body.len() > self.kind.max_body_len() as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "frame body exceeds the kind's maximum length",
-            ));
-        }
-        w.write_all(&self.header())?;
-        w.write_all(&self.body)?;
+        let mut bytes = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut bytes)?;
+        w.write_all(&bytes)?;
         w.flush()
     }
 
@@ -383,6 +399,88 @@ mod tests {
         // Dropped mid-header.
         let err = Frame::read_from(&mut &bytes[..4]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A reader that hands out at most 7 bytes per call, so frame
+    /// boundaries fall anywhere inside the buffered reader's refills.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(7).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Reads frames until the first error, as the peer reader does.
+    fn read_all(r: &mut impl Read) -> (Vec<Frame>, io::Error) {
+        let mut frames = Vec::new();
+        loop {
+            match Frame::read_from(r) {
+                Ok(frame) => frames.push(frame),
+                Err(e) => return (frames, e),
+            }
+        }
+    }
+
+    fn mixed_frames() -> Vec<Frame> {
+        vec![
+            Frame::new(FrameKind::Hello, 3u32.to_le_bytes().to_vec()),
+            Frame::new(FrameKind::Done, Vec::new()),
+            Frame::new(
+                FrameKind::StateGrant,
+                (0..20_000).map(|i| i as u8).collect(),
+            ),
+            Frame::new(FrameKind::Publish, b"key".to_vec()),
+            Frame::new(FrameKind::Unsubscribe, Vec::new()),
+            Frame::new(FrameKind::Deliver, vec![0x5A; 8191]),
+        ]
+    }
+
+    #[test]
+    fn back_to_back_frames_survive_buffered_short_reads() {
+        let frames = mixed_frames();
+        let wire: Vec<u8> = frames.iter().flat_map(encode).collect();
+        let mut reader = io::BufReader::new(Trickle(&wire));
+        let (back, end) = read_all(&mut reader);
+        assert_eq!(back, frames, "every frame, identical and in order");
+        assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn corrupt_frame_mid_batch_ends_the_stream_there() {
+        let frames = mixed_frames();
+        let mut wire = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let mut bytes = encode(frame);
+            if i == 3 {
+                // Flip one body bit of the fourth frame.
+                *bytes.last_mut().unwrap() ^= 0x80;
+            }
+            wire.extend_from_slice(&bytes);
+        }
+        let mut reader = io::BufReader::new(Trickle(&wire));
+        let (back, end) = read_all(&mut reader);
+        assert_eq!(back, frames[..3], "the frames before the bad one");
+        assert_eq!(end.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn encode_into_appends_the_single_frame_encoding() {
+        let mut batch = Vec::new();
+        for frame in mixed_frames() {
+            let before = batch.len();
+            frame.encode_into(&mut batch).unwrap();
+            assert_eq!(batch[before..], encode(&frame));
+        }
+        let len = batch.len();
+        let err = Frame::new(FrameKind::Hello, vec![0; 5])
+            .encode_into(&mut batch)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(batch.len(), len, "a rejected frame appends nothing");
     }
 
     #[test]

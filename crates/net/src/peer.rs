@@ -36,8 +36,13 @@
 //! **Backpressure.** Each connection's outbound path is a bounded
 //! queue drained by a dedicated writer thread; [`PeerManager::send`]
 //! blocks when the queue is full, so a slow peer throttles its
-//! producers instead of growing an unbounded buffer. Inbound frames
-//! from all peers funnel into one channel read via
+//! producers instead of growing an unbounded buffer. The writer wakes
+//! on one frame, takes whatever else the queue already holds (never
+//! waiting for more), and puts the batch on the socket in one write;
+//! a batch stops at 64 KiB, so the write buffer is bounded too, and a
+//! larger frame goes out alone. The reader reads through a buffer, so
+//! a run of small frames costs one `read` rather than two per frame.
+//! Inbound frames from all peers funnel into one channel read via
 //! [`PeerManager::recv_timeout`].
 //!
 //! **Reset semantics.** Frame streams never resynchronize: any read
@@ -46,14 +51,14 @@
 //! deterministic jittered backoff of [`crate::backoff`].
 
 use crate::backoff::Backoff;
-use crate::frame::{Frame, FrameKind, HEADER_LEN};
+use crate::frame::{Frame, FrameKind};
 use crate::metrics::{frame_size_hist, frame_time_hist, NetMetrics};
 use crate::trace::{self, NetEvent, NetTrace, TraceSlot};
 use crate::transport::{EndpointAddr, Listener, Stream};
 use bsub_obs::Counter;
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
@@ -642,16 +647,17 @@ fn install(shared: &Arc<Shared>, peer: PeerId, stream: Stream, dialer: PeerId) -
     Ok(true)
 }
 
-fn reader_loop(shared: &Arc<Shared>, mut stream: Stream, peer: PeerId, epoch: u64) {
-    // Reset semantics: any read error — CRC mismatch, EOF mid-frame,
-    // socket teardown — ends the connection; the stream is never
-    // resynchronized.
+fn reader_loop(shared: &Arc<Shared>, stream: Stream, peer: PeerId, epoch: u64) {
+    // Buffered so a run of small frames costs one `read` syscall, not
+    // two per frame. Reset semantics: any read error — CRC mismatch,
+    // EOF mid-frame, socket teardown — ends the connection; the stream
+    // is never resynchronized.
+    let mut stream = BufReader::new(stream);
     while let Ok(frame) = Frame::read_from(&mut stream) {
         shared.metrics.count(Counter::NetFramesRecv, 1);
-        shared.metrics.count(
-            Counter::NetBytesRecv,
-            (HEADER_LEN + frame.body.len()) as u64,
-        );
+        shared
+            .metrics
+            .count(Counter::NetBytesRecv, frame.encoded_len() as u64);
         if shared.inbound.send((peer, frame)).is_err() {
             break;
         }
@@ -672,27 +678,86 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: Stream, peer: PeerId, epoch: u6
     }
 }
 
-fn writer_loop(shared: &Arc<Shared>, mut stream: Stream, rx: &Receiver<Frame>) {
-    while let Ok(frame) = rx.recv() {
+/// Most bytes the writer coalesces into one socket write. A frame
+/// larger than this is written by itself, and the buffer it grew is
+/// released afterwards rather than kept for the life of the connection.
+const WRITE_BATCH_CAP: usize = 64 * 1024;
+
+/// Encodes the frames queued toward one peer into `buf`: `first`, then
+/// whatever the queue already holds, never waiting for more. Stops at
+/// [`WRITE_BATCH_CAP`]; a frame that does not fit is handed back to
+/// open the next batch. Each encoded frame's kind, size and dequeue
+/// time (when the sink is armed) is pushed onto `sent`; a handed-back
+/// frame is stamped when it opens the next batch. `Err` means a
+/// frame could not be encoded: the bytes before it are still in `buf`.
+fn fill_batch(
+    shared: &Shared,
+    rx: &Receiver<Frame>,
+    first: Frame,
+    buf: &mut Vec<u8>,
+    sent: &mut Vec<(FrameKind, usize, Option<Instant>)>,
+) -> io::Result<Option<Frame>> {
+    if buf.capacity() == 0 {
+        // Allocated at the first write, so connecting costs nothing.
+        buf.reserve_exact(WRITE_BATCH_CAP.max(first.encoded_len()));
+    }
+    let mut frame = first;
+    loop {
         // The clock is read only when the sink is armed, keeping the
         // unobserved hot path free of syscalls.
-        let started = shared.metrics.is_enabled().then(Instant::now);
-        let kind = frame.kind;
-        let bytes = frame.encoded_len() as u64;
-        if frame.write_to(&mut stream).is_err() {
-            return; // reader notices the dead socket and retires it
+        let dequeued = shared.metrics.is_enabled().then(Instant::now);
+        frame.encode_into(buf)?;
+        sent.push((frame.kind, frame.encoded_len(), dequeued));
+        if buf.len() >= WRITE_BATCH_CAP {
+            return Ok(None);
         }
-        if let Some(started) = started {
-            // Per-kind wall clock from dequeue to completed write,
-            // and per-kind encoded size. Sizes are recorded on the
-            // send side only so a cluster-wide merge counts each
-            // frame exactly once.
-            let ns = started.elapsed().as_nanos() as u64;
-            shared.metrics.observe_ns(frame_time_hist(kind), ns);
-            shared.metrics.observe(frame_size_hist(kind), bytes);
+        match rx.try_recv() {
+            Ok(next) if buf.len() + next.encoded_len() > WRITE_BATCH_CAP => return Ok(Some(next)),
+            Ok(next) => frame = next,
+            Err(_) => return Ok(None),
         }
-        shared.metrics.count(Counter::NetFramesSent, 1);
-        shared.metrics.count(Counter::NetBytesSent, bytes);
+    }
+}
+
+fn writer_loop(shared: &Arc<Shared>, mut stream: Stream, rx: &Receiver<Frame>) {
+    let mut buf = Vec::new();
+    let mut sent = Vec::new();
+    let mut carried = None;
+    while let Some(first) = carried.take().or_else(|| rx.recv().ok()) {
+        let filled = fill_batch(shared, rx, first, &mut buf, &mut sent);
+        // One write for the whole batch. If it fails, the reader
+        // notices the dead socket and retires it. A frame that failed
+        // to encode stops the writer once the frames before it are out.
+        if stream.write_all(&buf).is_err() {
+            return;
+        }
+        for &(kind, bytes, dequeued) in &sent {
+            if let Some(dequeued) = dequeued {
+                // Per-kind wall clock from the frame's dequeue to the
+                // completed write that carried it, and per-kind encoded
+                // size. Sizes are recorded on the send side only so a
+                // cluster-wide merge counts each frame exactly once.
+                let ns = dequeued.elapsed().as_nanos() as u64;
+                shared.metrics.observe_ns(frame_time_hist(kind), ns);
+                shared.metrics.observe(frame_size_hist(kind), bytes as u64);
+            }
+        }
+        shared
+            .metrics
+            .count(Counter::NetFramesSent, sent.len() as u64);
+        shared
+            .metrics
+            .count(Counter::NetBytesSent, buf.len() as u64);
+        sent.clear();
+        if buf.capacity() > WRITE_BATCH_CAP {
+            buf = Vec::new();
+        } else {
+            buf.clear();
+        }
+        match filled {
+            Ok(next) => carried = next,
+            Err(_) => return,
+        }
     }
     // Queue closed (drain): everything queued has been written.
     stream.shutdown_write();
@@ -822,6 +887,107 @@ mod tests {
 
         // B never armed its sink: nothing recorded there.
         assert!(b.metrics().snapshot().is_empty());
+    }
+
+    fn wire_bytes(frames: &[Frame]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for frame in frames {
+            frame.write_to(&mut out).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn writer_batch_is_the_single_frame_encodings_back_to_back() {
+        let (a, _b, _a_addr, _b_addr) = pair("batch");
+        let (tx, rx) = mpsc::sync_channel(16);
+        let small: Vec<Frame> = FrameKind::ALL[..5]
+            .iter()
+            .map(|&kind| Frame::new(kind, vec![kind.byte(); 3 * usize::from(kind.byte())]))
+            .collect();
+        for frame in &small[1..] {
+            tx.send(frame.clone()).unwrap();
+        }
+        let (mut buf, mut sent) = (Vec::new(), Vec::new());
+        let carried = fill_batch(&a.shared, &rx, small[0].clone(), &mut buf, &mut sent).unwrap();
+        assert!(carried.is_none(), "an empty queue ends the batch");
+        assert_eq!(buf, wire_bytes(&small));
+        assert_eq!(sent.len(), small.len());
+
+        // The byte cap: two 30 000-byte bodies share a batch and the
+        // third opens the next; a frame over the cap travels alone.
+        let grant = |len| Frame::new(FrameKind::StateGrant, vec![7; len]);
+        let queued = [grant(30_000), grant(30_000), grant(100_000), grant(10)];
+        for frame in &queued {
+            tx.send(frame.clone()).unwrap();
+        }
+        let mut batches = Vec::new();
+        let mut next = Some(grant(30_000));
+        while let Some(first) = next.or_else(|| rx.try_recv().ok()) {
+            buf.clear();
+            sent.clear();
+            next = fill_batch(&a.shared, &rx, first, &mut buf, &mut sent).unwrap();
+            batches.push(sent.iter().map(|&(_, len, _)| len).collect::<Vec<_>>());
+        }
+        assert_eq!(
+            batches,
+            [vec![30_008, 30_008], vec![30_008], vec![100_008], vec![18]]
+        );
+    }
+
+    #[test]
+    fn burst_arrives_in_order_with_per_frame_send_totals() {
+        let (a, b, _a_addr, b_addr) = pair("burst");
+        a.metrics().enable();
+        a.connect(PeerId(1), &b_addr).unwrap();
+        let kinds = [
+            FrameKind::Dispatch,
+            FrameKind::StateGrant,
+            FrameKind::Deliver,
+        ];
+        let count = 4 * a.config.queue_depth + 7;
+        let frames: Vec<Frame> = (0..count)
+            .map(|i| {
+                let mut body = (i as u32).to_le_bytes().to_vec();
+                // Mostly small frames, with one over the batch cap
+                // every 50.
+                let pad = if i % 50 == 49 { 70_000 } else { i * 37 % 3000 };
+                body.resize(4 + pad, i as u8);
+                Frame::new(kinds[i % kinds.len()], body)
+            })
+            .collect();
+        let sender = {
+            let (a, frames) = (Arc::clone(&a), frames.clone());
+            thread::spawn(move || {
+                for frame in frames {
+                    a.send(PeerId(1), frame).unwrap();
+                }
+            })
+        };
+        for expected in &frames {
+            let (from, frame) = b
+                .recv_timeout(Duration::from_secs(10))
+                .expect("burst frame arrives");
+            assert_eq!((from, &frame), (PeerId(0), expected));
+        }
+        sender.join().unwrap();
+
+        let bytes: usize = frames.iter().map(Frame::encoded_len).sum();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let snap = a.metrics().snapshot();
+            if snap.counter(Counter::NetFramesSent) == count as u64 {
+                assert_eq!(snap.counter(Counter::NetBytesSent), bytes as u64);
+                for kind in kinds {
+                    let n = frames.iter().filter(|f| f.kind == kind).count() as u64;
+                    assert_eq!(snap.size_hist(frame_size_hist(kind)).count(), n);
+                    assert_eq!(snap.time_hist(frame_time_hist(kind)).count(), n);
+                }
+                break;
+            }
+            assert!(Instant::now() < deadline, "writer metrics never caught up");
+            thread::yield_now();
+        }
     }
 
     /// The dial-race stale-state sequence, step by step: the link is

@@ -90,14 +90,14 @@ impl Listener {
 
     /// Accepts one pending connection, or `None` when nothing is
     /// waiting. The returned stream is switched back to blocking
-    /// mode.
+    /// mode, with Nagle off on TCP (see [`Stream::connect`]).
     ///
     /// # Errors
     ///
     /// Propagates accept failures other than `WouldBlock`.
     pub fn accept_pending(&self) -> io::Result<Option<Stream>> {
         let accepted = match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| tcp_stream(s)),
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         };
         match accepted {
@@ -121,7 +121,10 @@ pub enum Stream {
 }
 
 impl Stream {
-    /// Connects to `addr` (blocking).
+    /// Connects to `addr` (blocking). TCP streams have Nagle's
+    /// algorithm off: the peer writer already coalesces a queue's worth
+    /// of frames into one write, so holding a small write back for an
+    /// ACK would only add delay.
     ///
     /// # Errors
     ///
@@ -129,7 +132,7 @@ impl Stream {
     /// listening — the peer layer retries with backoff).
     pub fn connect(addr: &EndpointAddr) -> io::Result<Self> {
         match addr {
-            EndpointAddr::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
+            EndpointAddr::Tcp(addr) => TcpStream::connect(addr).and_then(tcp_stream),
             EndpointAddr::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
         }
     }
@@ -183,6 +186,12 @@ impl Stream {
             Stream::Unix(s) => s.shutdown(Shutdown::Both),
         };
     }
+}
+
+/// Wraps a connected TCP socket as a [`Stream`], with `TCP_NODELAY` set.
+fn tcp_stream(stream: TcpStream) -> io::Result<Stream> {
+    stream.set_nodelay(true)?;
+    Ok(Stream::Tcp(stream))
 }
 
 impl Read for Stream {
@@ -262,6 +271,23 @@ mod tests {
         frame.write_to(&mut server).unwrap();
         assert_eq!(Frame::read_from(&mut client).unwrap(), frame);
         assert!(addr.to_string().starts_with("tcp://127.0.0.1:"));
+    }
+
+    #[test]
+    fn tcp_streams_disable_nagle_on_both_ends() {
+        let listener = Listener::bind(&EndpointAddr::Tcp("127.0.0.1:0".parse().unwrap())).unwrap();
+        let client = Stream::connect(&listener.local_addr().unwrap()).unwrap();
+        let server = loop {
+            if let Some(s) = listener.accept_pending().unwrap() {
+                break s;
+            }
+        };
+        for stream in [&client, &server] {
+            match stream {
+                Stream::Tcp(s) => assert!(s.nodelay().unwrap()),
+                Stream::Unix(_) => panic!("connected over TCP"),
+            }
+        }
     }
 
     #[test]
